@@ -252,41 +252,16 @@ void BatchPlantStepper::run_interval(std::vector<Simulation*>& wave) {
   // both buffers valid for every substep's swap.
   std::copy(temps_.begin(), temps_.end(), temps_alt_.begin());
 
-  // The thermal input vector z = power + boundary-conductance terms is
-  // constant across substeps except on the leakage rows (the only node
-  // powers compute_lane_powers rewrites), so build it in full once here
-  // and refresh just those rows per substep. The leak-row -> free-slot map
-  // is the same for every bucket (one platform, one free/boundary split).
-  leak_slot_.assign(kLeakRows, std::size_t(-1));
-  z_leak_only_ok_ = true;
-  {
-    const thermal::PropagatorMatrices* m0 = mats_[0];
-    for (std::size_t r = 0; r < kLeakRows; ++r) {
-      for (std::size_t i = 0; i < m0->free_count; ++i) {
-        if (m0->free_nodes[i] == row_node_[r]) {
-          leak_slot_[r] = i;
-          break;
-        }
-      }
-      if (leak_slot_[r] == std::size_t(-1)) z_leak_only_ok_ = false;
-    }
-    z_.resize(m0->free_count * lanes);
-  }
-  refresh_z(lanes, /*leak_rows_only=*/false);
-
   for (int s = 0; s < substeps; ++s) {
-    if (s > 0) {
-      compute_lane_powers(wave, sub_dt);
-      refresh_z(lanes, /*leak_rows_only=*/z_leak_only_ok_);
-    }
+    if (s > 0) compute_lane_powers(wave, sub_dt);
     thermal_matvec(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
       if (!committing_[l]) continue;
       Simulation& sim = *wave[l];
       if (!sim.plant().substep_commit(sim.staged_instance(), sub_dt)) {
         // Benchmark done mid-interval: freeze this lane where the scalar
-        // loop would have broken; its column keeps being computed (and
-        // discarded) so the bucket stays dense.
+        // loop would have broken; its column keeps being computed and
+        // discarded.
         committing_[l] = 0;
         scatter_lane(sim, l, lanes, nodes);
       }
@@ -367,121 +342,17 @@ void BatchPlantStepper::compute_lane_powers(std::vector<Simulation*>& wave,
   }
 }
 
-void BatchPlantStepper::refresh_z(std::size_t lane_count,
-                                  bool leak_rows_only) {
-  // Rebuilds the thermal input rows z = power + sum(boundary g * T_b),
-  // applying each bucket's boundary terms in declaration order so every
-  // row's floating-point sum matches PropagatorRcModel::step exactly. In
-  // leak_rows_only mode just the rows compute_lane_powers rewrote are
-  // rebuilt (same per-row op order: copy, then matching terms in order).
-  std::size_t lo = 0;
-  while (lo < lane_count) {
-    const thermal::PropagatorMatrices* m = mats_[lo];
-    std::size_t hi = lo + 1;
-    while (hi < lane_count && mats_[hi] == m) ++hi;
-    const std::size_t width = hi - lo;
-    if (leak_rows_only) {
-      for (std::size_t r = 0; r < kLeakRows; ++r) {
-        const std::size_t slot = leak_slot_[r];
-        const double* p_row = &power_[row_node_[r] * lane_count + lo];
-        double* z_row = &z_[slot * lane_count + lo];
-        for (std::size_t l = 0; l < width; ++l) z_row[l] = p_row[l];
-        for (const thermal::PropagatorMatrices::BoundaryTerm& bt :
-             m->boundary_terms) {
-          if (bt.free_slot != slot) continue;
-          const double* b_row = &temps_[bt.boundary_node * lane_count + lo];
-          for (std::size_t l = 0; l < width; ++l) {
-            z_row[l] += bt.g * b_row[l];
-          }
-        }
-      }
-    } else {
-      const std::size_t n = m->free_count;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* p_row = &power_[m->free_nodes[i] * lane_count + lo];
-        double* z_row = &z_[i * lane_count + lo];
-        for (std::size_t l = 0; l < width; ++l) z_row[l] = p_row[l];
-      }
-      for (const thermal::PropagatorMatrices::BoundaryTerm& bt :
-           m->boundary_terms) {
-        const double* b_row = &temps_[bt.boundary_node * lane_count + lo];
-        double* z_row = &z_[bt.free_slot * lane_count + lo];
-        for (std::size_t l = 0; l < width; ++l) z_row[l] += bt.g * b_row[l];
-      }
-    }
-    lo = hi;
-  }
-}
-
 void BatchPlantStepper::thermal_matvec(std::size_t lane_count) {
-  // One pass per fan-state bucket (contiguous columns after the sort). The
-  // per-lane sum order -- all Phi terms in ascending j, then all Gamma
-  // terms -- matches PropagatorRcModel::step exactly, so a lane's thermal
-  // update is bit-identical to the scalar propagator for identical inputs.
-  //
-  // Free-node temperatures are read out of temps_ while each row's result
-  // is written straight into temps_alt_ (ping-pong: a single pointer swap
-  // at the end replaces the old copy-back scatter), and the lanes are
-  // walked in 8-wide blocks whose accumulators live in registers across
-  // the whole j loop -- one vector register per block instead of a
-  // load/store per (i, j) pair -- with a half-width tier ahead of the
-  // scalar remainder so odd bucket widths keep most lanes vectorized.
-  // The input rows z_ are maintained by refresh_z between substeps.
-  constexpr std::size_t kBlock = 8;
+  // One pass per fan-state bucket (contiguous columns after the sort).
+  // Temperatures are read out of temps_ while the results land in
+  // temps_alt_ (ping-pong: one pointer swap at the end, no copy-back).
   std::size_t lo = 0;
   while (lo < lane_count) {
     const thermal::PropagatorMatrices* m = mats_[lo];
     std::size_t hi = lo + 1;
     while (hi < lane_count && mats_[hi] == m) ++hi;
-    const std::size_t width = hi - lo;
-    const std::size_t n = m->free_count;
-    const double* phi = m->phi.data();
-    const double* gamma = m->gamma.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* phi_row = phi + i * n;
-      const double* gamma_row = gamma + i * n;
-      double* out_row = &temps_alt_[m->free_nodes[i] * lane_count + lo];
-      std::size_t l = 0;
-      for (; l + kBlock <= width; l += kBlock) {
-        double acc[kBlock] = {};
-        for (std::size_t j = 0; j < n; ++j) {
-          const double pij = phi_row[j];
-          const double* t_row = &temps_[m->free_nodes[j] * lane_count + lo + l];
-          for (std::size_t k = 0; k < kBlock; ++k) acc[k] += pij * t_row[k];
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          const double gij = gamma_row[j];
-          const double* z_row = &z_[j * lane_count + lo + l];
-          for (std::size_t k = 0; k < kBlock; ++k) acc[k] += gij * z_row[k];
-        }
-        for (std::size_t k = 0; k < kBlock; ++k) out_row[l + k] = acc[k];
-      }
-      constexpr std::size_t kHalf = kBlock / 2;
-      for (; l + kHalf <= width; l += kHalf) {
-        double acc[kHalf] = {};
-        for (std::size_t j = 0; j < n; ++j) {
-          const double pij = phi_row[j];
-          const double* t_row = &temps_[m->free_nodes[j] * lane_count + lo + l];
-          for (std::size_t k = 0; k < kHalf; ++k) acc[k] += pij * t_row[k];
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          const double gij = gamma_row[j];
-          const double* z_row = &z_[j * lane_count + lo + l];
-          for (std::size_t k = 0; k < kHalf; ++k) acc[k] += gij * z_row[k];
-        }
-        for (std::size_t k = 0; k < kHalf; ++k) out_row[l + k] = acc[k];
-      }
-      for (; l < width; ++l) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-          acc += phi_row[j] * temps_[m->free_nodes[j] * lane_count + lo + l];
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          acc += gamma_row[j] * z_[j * lane_count + lo + l];
-        }
-        out_row[l] = acc;
-      }
-    }
+    thermal::propagate_lanes(*m, &temps_[lo], &power_[lo], lane_count,
+                             hi - lo, &temps_alt_[lo], kernel_io_);
     lo = hi;
   }
   temps_.swap(temps_alt_);

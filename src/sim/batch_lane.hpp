@@ -6,9 +6,8 @@
 // exponentials, the LTI propagator matvec -- over different state. The
 // batch lane exploits that: same-platform runs are grouped into lockstep
 // lanes whose per-node state lives column-major (`temps[node][lane]`), so
-// one pass of the thermal propagator and one pass of the leakage kernel
-// advance every lane at once, in loops the compiler vectorizes across
-// lanes.
+// one pass of the leakage kernel advances every lane at once, in loops the
+// compiler vectorizes across lanes.
 //
 // Division of labour per control interval:
 //
@@ -26,8 +25,11 @@
 //     of re-running the placement/contention bisection -- the memo that
 //     collapses the schedule solve to once per equivalence class,
 //   * substeps >= 1: structure-of-arrays leakage (util/vexp.hpp) + rail
-//     assembly + propagator matvec across all lanes, with lanes bucketed by
-//     fan-state conductance so each bucket shares one (Phi, Gamma) pair,
+//     assembly across all lanes, then the thermal update: lanes are
+//     bucketed by fan-state conductance so each bucket shares one compiled
+//     (Phi, Gamma) block, and each bucket's columns run through
+//     thermal::propagate_lanes -- the very routine the scalar propagator
+//     steps with (width 1),
 //   * bookkeeping: the ordinary Plant::substep_commit / interval_end /
 //     Simulation::finish_step per lane, so termination, recording and
 //     metrics share the scalar code path operation for operation.
@@ -37,12 +39,14 @@
 // exactly where the scalar loop would have broken. Lanes that finish their
 // runs retire from subsequent waves; the rest keep stepping.
 //
-// Numerics: within one interval the thermal matvec reproduces the scalar
-// propagator sum order bit for bit; the power evaluation differs from the
-// scalar path by documented reassociation (SocIntervalConstants) and by
-// vexp()'s few-ulp deviation from std::exp, so `batched` trades golden-trace
-// bit-identity for throughput the same way `propagator` trades the RK4
-// fallback's -- see sim/stepping_engine.hpp for the contract.
+// Numerics: the thermal update is the scalar propagator's own routine, so
+// it is bit-identical per lane for identical inputs; the power evaluation differs
+// from the scalar path by documented reassociation (SocIntervalConstants)
+// and by vexp()'s few-ulp deviation from std::exp, so `batched` trades
+// golden-trace bit-identity for throughput the same way `propagator` trades
+// the RK4 fallback's -- see sim/stepping_engine.hpp for the contract. This
+// translation unit (for its leakage passes) and the kernel's are built with
+// -ffp-contract=off, so none of it depends on the host ISA.
 #pragma once
 
 #include <cstddef>
@@ -103,7 +107,6 @@ class BatchPlantStepper {
   static constexpr std::size_t kLeakRows = soc::kBigCoreCount + 3;
 
   void compute_lane_powers(std::vector<Simulation*>& wave, double sub_dt);
-  void refresh_z(std::size_t lane_count, bool leak_rows_only);
   void thermal_matvec(std::size_t lane_count);
   void scatter_lane(Simulation& sim, std::size_t lane, std::size_t lane_count,
                     std::size_t node_count);
@@ -121,9 +124,7 @@ class BatchPlantStepper {
   std::vector<double> temps_alt_;            ///< matvec ping-pong target
   std::vector<double> c2_, scale_, gate_;    ///< [leak row][lane]
   std::vector<double> tk_, leak_;            ///< [leak row][lane]
-  std::vector<double> z_;                    ///< [free slot][lane]
-  std::vector<std::size_t> leak_slot_;       ///< leak row -> free slot
-  bool z_leak_only_ok_ = false;              ///< every leak node is free
+  std::vector<double> kernel_io_;            ///< propagate_lanes scratch
   std::vector<double> fan_g_;                ///< per-lane bucket key
   std::vector<std::size_t> order_;
   std::vector<Simulation*> sorted_;

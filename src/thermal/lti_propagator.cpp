@@ -195,12 +195,14 @@ PropagatorMatrices PropagatorRcModel::compile(const RcNetwork& network,
     }
   }
 
-  out.phi.resize(n * n);
-  out.gamma.resize(n * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      out.phi[i * n + j] = phi(i, j);
-      out.gamma[i * n + j] = gamma(i, j);
+  out.padded = (n + 3) / 4 * 4;
+  out.block.assign(2 * n * out.padded, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double* phi_col = &out.block[j * out.padded];
+    double* gamma_col = &out.block[(n + j) * out.padded];
+    for (std::size_t i = 0; i < n; ++i) {
+      phi_col[i] = phi(i, j);
+      gamma_col[i] = gamma(i, j);
     }
   }
   return out;
@@ -262,30 +264,8 @@ void PropagatorRcModel::step(RcNetwork& network, double dt_s,
   }
 
   ++propagator_steps_;
-  const std::size_t n = m->free_count;
-  std::vector<double>& temps = network.temperatures_mut();
-  tf_.resize(n);
-  z_.resize(n);
-  out_.resize(n);
-  const std::size_t* free_nodes = m->free_nodes.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    tf_[i] = temps[free_nodes[i]];
-    z_[i] = power_w[free_nodes[i]];
-  }
-  for (const PropagatorMatrices::BoundaryTerm& bt : m->boundary_terms) {
-    z_[bt.free_slot] += bt.g * temps[bt.boundary_node];
-  }
-  const double* phi = m->phi.data();
-  const double* gamma = m->gamma.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* phi_row = phi + i * n;
-    const double* gamma_row = gamma + i * n;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) acc += phi_row[j] * tf_[j];
-    for (std::size_t j = 0; j < n; ++j) acc += gamma_row[j] * z_[j];
-    out_[i] = acc;
-  }
-  for (std::size_t i = 0; i < n; ++i) temps[free_nodes[i]] = out_[i];
+  double* temps = network.temperatures_mut().data();
+  propagate_lanes(*m, temps, power_w.data(), 1, 1, temps, x_);
 }
 
 }  // namespace dtpm::thermal

@@ -11,7 +11,8 @@
 // collapses to one affine map  T' = Phi T + Gamma z.  PropagatorRcModel
 // precomputes (Phi, Gamma) per distinct (dt, conductance state), caches them
 // keyed on CompiledRcModel's conductance epoch, and replaces the per-step
-// stage sweeps with a single matvec.
+// stage sweeps with a single matvec -- propagate_lanes(), the one routine
+// both the scalar step and the batch lanes (sim/batch_lane.hpp) run.
 //
 // Two construction modes:
 //
@@ -52,9 +53,13 @@ enum class PropagatorMode {
 /// scalar step path and the structure-of-arrays batch lanes.
 struct PropagatorMatrices {
   std::size_t free_count = 0;
+  /// Column stride of `block`: free_count rounded up to a multiple of 4.
+  std::size_t padded = 0;
   std::vector<std::size_t> free_nodes;  ///< dense slot -> node index
-  std::vector<double> phi;    ///< free_count x free_count, row-major
-  std::vector<double> gamma;  ///< free_count x free_count, row-major (maps W)
+  /// The fused step map [Phi | Gamma] (Gamma maps W), column-major: column
+  /// j < free_count is Phi(:, j), column free_count + j is Gamma(:, j),
+  /// each `padded` doubles long with zero padding rows.
+  std::vector<double> block;
   /// z[slot] += g * temps[boundary_node] terms, in ascending edge order.
   struct BoundaryTerm {
     std::size_t free_slot;
@@ -62,7 +67,33 @@ struct PropagatorMatrices {
     double g;
   };
   std::vector<BoundaryTerm> boundary_terms;
+
+  double phi(std::size_t i, std::size_t j) const {
+    return block[j * padded + i];
+  }
+  double gamma(std::size_t i, std::size_t j) const {
+    return block[(free_count + j) * padded + i];
+  }
 };
+
+/// The propagator thermal update of `width` lane columns. `temps`,
+/// `power` and `temps_out` are [node][lane] rows of stride `stride`, each
+/// pointer already offset to the first lane; a scalar network is one lane
+/// (stride 1, width 1). Per lane it gathers x = [T_free; z] -- z = the free
+/// nodes' power, plus the boundary terms in order -- and writes
+/// Phi * T_free + Gamma * z to the lane's free-node rows of `temps_out`
+/// (boundary rows are left alone). The matvec sweeps the fused block column
+/// by column with one accumulator per row; each row's sum is +0.0, then the
+/// Phi terms, then the Gamma terms, both in ascending j, with no fused
+/// multiply-add (the translation unit is built with -ffp-contract=off), so
+/// every lane is bit-identical to the row-major loop on every ISA.
+/// `temps_out` may alias `temps`: a lane's x is gathered before its column
+/// is written. `scratch` is resized to 3 * free_count (no allocation once
+/// it has that size).
+void propagate_lanes(const PropagatorMatrices& m, const double* temps,
+                     const double* power, std::size_t stride,
+                     std::size_t width, double* temps_out,
+                     std::vector<double>& scratch);
 
 /// Caching discrete-time stepping engine over an RcNetwork. Not
 /// thread-safe; every network handed to step()/matrices_for() must share
@@ -122,8 +153,8 @@ class PropagatorRcModel {
   std::uint64_t propagator_steps_ = 0;
   std::uint64_t fallback_steps_ = 0;
 
-  // step() scratch (no allocation on the hot path).
-  std::vector<double> tf_, z_, out_;
+  // step()'s propagate_lanes scratch (no allocation on the hot path).
+  std::vector<double> x_;
 };
 
 }  // namespace dtpm::thermal

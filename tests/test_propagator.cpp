@@ -1,7 +1,11 @@
 // Correctness of the LTI propagator (thermal/lti_propagator.hpp) against
 // the reference RK4 integrator: spectral stability of the compiled step map
 // for every registry platform and fan state, bounded long-soak drift, and
-// bit-identical RK4 fallback on fan-transition-straddling steps.
+// bit-identical RK4 fallback on fan-transition-straddling steps. The
+// matvec kernel itself is pinned bit for bit against a row-major reference
+// loop, on the scalar step and on the lockstep lane's bucket update. This
+// file is built with -ffp-contract=off, like the kernel, so the reference
+// loops below are plain multiplies and adds on every ISA.
 #include "thermal/lti_propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -62,7 +66,7 @@ util::Matrix phi_as_matrix(const PropagatorMatrices& m) {
   util::Matrix phi(m.free_count, m.free_count);
   for (std::size_t i = 0; i < m.free_count; ++i) {
     for (std::size_t j = 0; j < m.free_count; ++j) {
-      phi(i, j) = m.phi[i * m.free_count + j];
+      phi(i, j) = m.phi(i, j);
     }
   }
   return phi;
@@ -219,6 +223,169 @@ TEST(PropagatorExpm, TracksRk4WithinTruncationError) {
     }
   }
   EXPECT_LE(max_err, 1e-6);
+}
+
+/// A chain of `free_count` free nodes ending in one ambient boundary node,
+/// with a few skip edges so every Phi row is dense.
+RcNetwork make_chain_network(std::size_t free_count) {
+  std::vector<ThermalNode> nodes(free_count + 1);
+  for (std::size_t i = 0; i <= free_count; ++i) {
+    nodes[i].name = "n" + std::to_string(i);
+    nodes[i].capacitance_j_per_k = 0.05 + 0.1 * double(i % 5);
+    nodes[i].initial_temp_c = 30.0 + 1.7 * double(i);
+    nodes[i].is_boundary = i == free_count;
+  }
+  std::vector<ThermalEdge> edges;
+  for (std::size_t i = 1; i <= free_count; ++i) {
+    edges.push_back({i - 1, i, 0.2 + 0.05 * double(i % 3)});
+  }
+  for (std::size_t i = 2; i < free_count; i += 3) {
+    edges.push_back({i - 2, i, 0.07});
+  }
+  return RcNetwork(std::move(nodes), std::move(edges));
+}
+
+/// The propagator step the kernel must reproduce: z = power plus the
+/// boundary terms in order, then per row +0.0, the Phi terms and the Gamma
+/// terms, ascending j, in the row-major order of a plain matvec loop.
+std::vector<double> reference_step(const PropagatorMatrices& m,
+                                   const std::vector<double>& temps,
+                                   const std::vector<double>& power) {
+  const std::size_t n = m.free_count;
+  std::vector<double> tf(n), z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tf[i] = temps[m.free_nodes[i]];
+    z[i] = power[m.free_nodes[i]];
+  }
+  for (const PropagatorMatrices::BoundaryTerm& bt : m.boundary_terms) {
+    z[bt.free_slot] += bt.g * temps[bt.boundary_node];
+  }
+  std::vector<double> out = temps;
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < n; ++j) acc += m.phi(i, j) * tf[j];
+    for (std::size_t j = 0; j < n; ++j) acc += m.gamma(i, j) * z[j];
+    out[m.free_nodes[i]] = acc;
+  }
+  return out;
+}
+
+/// Steps `network` through `engine` (after a warm-up step that compiles
+/// the matrices) and checks every node against reference_step.
+void expect_step_matches_reference(PropagatorRcModel& engine,
+                                   RcNetwork& network,
+                                   const std::string& label) {
+  const std::vector<double> warm = sinusoid_power(network.node_count(), 0);
+  engine.step(network, 0.01, warm);  // cold cache: the RK4 fallback
+  for (int k = 1; k <= 3; ++k) {
+    const std::vector<double> power = sinusoid_power(network.node_count(), k);
+    const std::vector<double> expected = reference_step(
+        engine.matrices_for(network, 0.01), network.temperatures_c(), power);
+    const std::uint64_t before = engine.propagator_steps();
+    engine.step(network, 0.01, power);
+    ASSERT_EQ(engine.propagator_steps(), before + 1) << label;
+    for (std::size_t i = 0; i < network.node_count(); ++i) {
+      EXPECT_EQ(network.temperature_c(i), expected[i])
+          << label << " step " << k << " node " << i;
+    }
+  }
+}
+
+// The kernel against the row-major loop, bit for bit: every registry
+// platform in every fan state (the fixed-width kernel) under both
+// construction modes.
+TEST(PropagatorKernel, StepEqualsRowMajorReferenceOnEveryPlatformAndFanState) {
+  const auto& registry = sim::PlatformRegistry::instance();
+  const FanSpeed speeds[] = {FanSpeed::kOff, FanSpeed::kLow, FanSpeed::kHalf,
+                             FanSpeed::kFull};
+  for (const std::string& name : registry.names()) {
+    const sim::PlatformPtr platform = registry.get(name);
+    for (PropagatorMode mode :
+         {PropagatorMode::kRk4Map, PropagatorMode::kExpm}) {
+      for (FanSpeed speed : speeds) {
+        Floorplan fp = build_floorplan(platform->floorplan);
+        if (fp.has_fan_edge()) {
+          fp.network.set_edge_conductance(
+              fp.fan_edge, Fan(platform->fan).conductance_w_per_k(speed));
+        }
+        PropagatorRcModel engine(mode);
+        expect_step_matches_reference(engine, fp.network,
+                                      name + " " + to_string(speed));
+      }
+    }
+  }
+}
+
+// Hand-built networks whose padded width (free count rounded up to 4) hits
+// the fixed-width kernel (12) and the runtime-width fallback (all others).
+TEST(PropagatorKernel, StepEqualsRowMajorReferenceAtEveryPaddedWidth) {
+  for (std::size_t free_count : {1u, 3u, 5u, 9u, 13u, 16u, 17u, 21u}) {
+    RcNetwork network = make_chain_network(free_count);
+    PropagatorRcModel engine;
+    const PropagatorMatrices& m = engine.matrices_for(network, 0.01);
+    ASSERT_EQ(m.free_count, free_count);
+    EXPECT_EQ(m.padded % 4, 0u);
+    EXPECT_LT(m.padded - free_count, 4u);
+    expect_step_matches_reference(engine, network,
+                                  std::to_string(free_count) + " free");
+  }
+}
+
+// One lockstep bucket's thermal update (thermal::propagate_lanes over a
+// bucket's strided columns, as the batched engine runs it) equals the
+// scalar propagator for identical inputs, lane by lane, at bucket widths on
+// both sides of a vector register. The bucket sits one lane into wider SoA
+// rows, as a non-first fan-state bucket does.
+TEST(PropagatorKernel, LockstepBucketEqualsScalarPropagatorPerLane) {
+  for (std::size_t width : {1u, 3u, 8u, 9u}) {
+    const std::size_t stride = width + 2;
+    const std::size_t lo = 1;
+    std::vector<Floorplan> lanes;
+    std::vector<std::vector<double>> powers;
+    lanes.reserve(width);
+    for (std::size_t l = 0; l < width; ++l) {
+      Floorplan fp = make_default_floorplan();
+      for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
+        if (fp.network.node(i).is_boundary) continue;
+        fp.network.set_temperature_c(i, 40.0 + 3.1 * double(l) + double(i));
+      }
+      fp.network.set_boundary_temperature_c(
+          node_index(FloorplanNode::kAmbient), 20.0 + double(l));
+      lanes.push_back(std::move(fp));
+      powers.push_back(sinusoid_power(kFloorplanNodeCount, int(l)));
+    }
+    PropagatorRcModel engine;
+    const PropagatorMatrices& m = engine.matrices_for(lanes[0].network, 0.01);
+
+    // [node][lane] SoA rows as the lane keeps them.
+    std::vector<double> temps(kFloorplanNodeCount * stride, -1.0);
+    std::vector<double> power(kFloorplanNodeCount * stride, -1.0);
+    for (std::size_t l = 0; l < width; ++l) {
+      for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
+        temps[i * stride + lo + l] = lanes[l].network.temperature_c(i);
+        power[i * stride + lo + l] = powers[l][i];
+      }
+    }
+    std::vector<double> out = temps;
+    std::vector<double> scratch;
+    thermal::propagate_lanes(m, &temps[lo], &power[lo], stride, width,
+                             &out[lo], scratch);
+
+    for (std::size_t l = 0; l < width; ++l) {
+      engine.step(lanes[l].network, 0.01, powers[l]);
+      for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
+        EXPECT_EQ(out[i * stride + lo + l],
+                  lanes[l].network.temperature_c(i))
+            << "width " << width << " lane " << l << " node " << i;
+      }
+    }
+    EXPECT_EQ(engine.fallback_steps(), 0u);
+    // Columns outside the bucket are untouched.
+    for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
+      EXPECT_EQ(out[i * stride], -1.0);
+      EXPECT_EQ(out[i * stride + lo + width], -1.0);
+    }
+  }
 }
 
 // Validation parity with RcNetwork::step.

@@ -115,6 +115,39 @@ TEST(ZeroAllocation, SteadyStateStepAllocatesNothing) {
   EXPECT_LT(sim.view().max_temp_c, 115.0);
 }
 
+TEST(ZeroAllocation, PropagatorEngineSteadyStateStepAllocatesNothing) {
+  // The propagator engine's substep -- the matvec kernel and its gather
+  // scratch, the conductance-keyed matrix cache -- once the closed loop
+  // has visited every fan speed and each state's matrices are compiled.
+  ExperimentConfig config;
+  config.benchmark = "zero-alloc-steady";
+  config.scenario = steady_benchmark();
+  config.policy = Policy::kDefaultWithFan;
+  config.record_trace = false;
+  config.observe_predictions = false;
+  config.max_sim_time_s = 1e9;
+  config.seed = 3;
+  config.engine = Engine::kPropagator;
+
+  Simulation sim(config);
+  for (int s = 0; s < 800; ++s) {
+    ASSERT_TRUE(sim.step()) << "run terminated during warm-up";
+  }
+
+  g_alloc_count.store(0);
+  g_counting.store(true);
+  for (int s = 0; s < 1000; ++s) {
+    if (!sim.step()) break;
+  }
+  g_counting.store(false);
+
+  EXPECT_EQ(g_alloc_count.load(), 0u)
+      << "the steady-state propagator step heap-allocated; the kernel "
+         "scratch or the matrix cache regressed";
+  EXPECT_GT(sim.view().progress, 0.0);
+  EXPECT_LT(sim.view().max_temp_c, 115.0);
+}
+
 TEST(ZeroAllocation, BatchedLaneSteadyStateWaveAllocatesNothing) {
   // The lockstep lane's whole interval -- batched noise staging, per-lane
   // begin_step, the SoA kernel with its fan-state insertion sort and the
