@@ -66,7 +66,7 @@ void BM_LockstepBucket(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * std::int64_t(width));
 }
-BENCHMARK(BM_LockstepBucket)->Arg(1)->Arg(3)->Arg(8)->Arg(64);
+BENCHMARK(BM_LockstepBucket)->Arg(1)->Arg(3)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
 }  // namespace
 

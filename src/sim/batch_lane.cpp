@@ -16,9 +16,10 @@ namespace dtpm::sim {
 
 namespace {
 
-/// Lanes per group. Bounds how many Simulations one worker keeps alive at
-/// once; well past the point where wider SoA rows stop paying.
-constexpr std::size_t kMaxLanesPerGroup = 64;
+/// Lanes per group: two 8-lane kernel tiles. Also bounds how many
+/// Simulations (each with its own plant, policy and RNG streams) one
+/// worker keeps alive at once, and so the fleet's peak RSS.
+constexpr std::size_t kMaxLanesPerGroup = 16;
 
 constexpr std::size_t kBigRail =
     power::resource_index(power::Resource::kBigCluster);
@@ -123,7 +124,7 @@ void BatchPlantStepper::run_interval(std::vector<Simulation*>& wave) {
   }
 
   // Bucket lanes by their fan-edge conductance -- the only conductance
-  // that can differ between same-platform lanes (Simulation's sole runtime
+  // that can differ between same-physics lanes (Simulation's sole runtime
   // conductance mutation is Plant::set_fan) -- so the propagator's
   // signature hash and cache scan run once per bucket, not once per lane.
   fan_g_.resize(lanes);
@@ -383,14 +384,16 @@ std::vector<LockstepGroup> plan_lockstep_groups(
       singles.push_back(i);
       continue;
     }
-    // Value equality, not pointer identity: preset-only configs synthesize
-    // a fresh descriptor each, and sweeps mixing the two must still group.
+    // Physics equality, not pointer identity: preset-only configs
+    // synthesize a fresh descriptor each, and a fleet's per-ambient copies
+    // of one platform differ only in initial temperatures, which each lane
+    // carries in its own column.
     const PlatformPtr platform = resolved_platform(config);
     bool placed = false;
     for (Bucket& b : buckets) {
       if (b.control_interval_s == config.control_interval_s &&
           b.plant_substep_s == config.plant_substep_s &&
-          *b.platform == *platform) {
+          (b.platform == platform || same_physics(*b.platform, *platform))) {
         b.members.push_back(i);
         placed = true;
         break;

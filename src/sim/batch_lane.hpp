@@ -1,13 +1,16 @@
 // Structure-of-arrays batch stepping: the `batched` engine's fleet lane.
 //
-// A BatchRunner wave usually runs many configs that share one platform and
-// one step geometry while differing only in benchmark/policy/seed. Each of
-// those runs spends its interval budget on the same arithmetic -- leakage
+// A BatchRunner wave usually runs many configs that share one platform's
+// physics and one step geometry while differing only in benchmark, policy,
+// seed and starting temperatures (a fleet's ambient). Each of those runs
+// spends its interval budget on the same arithmetic -- leakage
 // exponentials, the LTI propagator matvec -- over different state. The
-// batch lane exploits that: same-platform runs are grouped into lockstep
-// lanes whose per-node state lives column-major (`temps[node][lane]`), so
-// one pass of the leakage kernel advances every lane at once, in loops the
-// compiler vectorizes across lanes.
+// batch lane exploits that: runs whose descriptors agree on physics
+// (sim::same_physics: everything but the floorplan's initial temperatures)
+// are grouped into lockstep lanes whose per-node state lives column-major
+// (`temps[node][lane]`, the boundary/ambient row included), so one pass of
+// the leakage kernel advances every lane at once, in loops the compiler
+// vectorizes across lanes.
 //
 // Division of labour per control interval:
 //
@@ -29,7 +32,8 @@
 //     bucketed by fan-state conductance so each bucket shares one compiled
 //     (Phi, Gamma) block, and each bucket's columns run through
 //     thermal::propagate_lanes -- the very routine the scalar propagator
-//     steps with (width 1),
+//     steps with (width 1), which sweeps buckets of 4+ lanes in 8- and
+//     4-lane tiles with the same per-lane arithmetic,
 //   * bookkeeping: the ordinary Plant::substep_commit / interval_end /
 //     Simulation::finish_step per lane, so termination, recording and
 //     metrics share the scalar code path operation for operation.
@@ -69,11 +73,13 @@ class Simulation;
 /// one structure-of-arrays group.
 using LockstepGroup = std::vector<std::size_t>;
 
-/// Steps N same-platform simulations through one control interval in
-/// structure-of-arrays form. All lanes must share the platform (hence
-/// floorplan topology), substep count and substep dt -- the invariants
-/// plan_lockstep_groups() groups by; run_interval throws std::logic_error
-/// on a violation. Owns the group-shared propagator whose conductance-keyed
+/// Steps N simulations of one platform's physics through one control
+/// interval in structure-of-arrays form. All lanes must share the
+/// platform's physics (hence floorplan topology and conductances; initial
+/// and boundary temperatures may differ per lane), substep count and
+/// substep dt -- the invariants plan_lockstep_groups() groups by;
+/// run_interval throws std::logic_error on a node-count or step-geometry
+/// violation. Owns the group-shared propagator whose conductance-keyed
 /// cache serves every fan-state bucket. Not thread-safe; one stepper per
 /// group per worker.
 class BatchPlantStepper {
@@ -133,10 +139,11 @@ class BatchPlantStepper {
 };
 
 /// Partitions a batch into lockstep groups: jobs whose config selects
-/// Engine::kBatched and agrees on (platform value, control interval, plant
-/// substep) land in one group; everything else -- other engines, and
-/// batched jobs with no lockstep partner -- is appended to `singles` for
-/// the ordinary per-run path. Groups larger than the lane cap are split.
+/// Engine::kBatched and agrees on (platform physics per same_physics(),
+/// control interval, plant substep) land in one group; everything else --
+/// other engines, and batched jobs with no lockstep partner -- is appended
+/// to `singles` for the ordinary per-run path. Groups larger than the lane
+/// cap are split.
 ///
 /// `worker_count` shards each bucket into balanced contiguous column tiles
 /// so a multi-worker pool has one tile per worker instead of one monolithic

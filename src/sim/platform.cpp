@@ -85,9 +85,10 @@ power::OppTable PlatformDescriptor::gpu_opp_table() const {
   }
 }
 
-bool operator==(const PlatformDescriptor& a, const PlatformDescriptor& b) {
+bool same_physics(const PlatformDescriptor& a, const PlatformDescriptor& b) {
   return a.name == b.name && a.description == b.description &&
-         a.floorplan == b.floorplan && a.big_cores == b.big_cores &&
+         thermal::same_physics(a.floorplan, b.floorplan) &&
+         a.big_cores == b.big_cores &&
          a.little_cores == b.little_cores && a.big_opps == b.big_opps &&
          a.little_opps == b.little_opps && a.gpu_opps == b.gpu_opps &&
          a.power == b.power && a.perf == b.perf && a.fan == b.fan &&
@@ -95,6 +96,11 @@ bool operator==(const PlatformDescriptor& a, const PlatformDescriptor& b) {
          a.platform_load == b.platform_load &&
          a.default_t_max_c == b.default_t_max_c &&
          a.runaway_abort_temp_c == b.runaway_abort_temp_c;
+}
+
+bool operator==(const PlatformDescriptor& a, const PlatformDescriptor& b) {
+  return same_physics(a, b) && thermal::same_initial_temps(a.floorplan,
+                                                           b.floorplan);
 }
 
 }  // namespace dtpm::sim

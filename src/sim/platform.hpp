@@ -106,8 +106,16 @@ struct PlatformDescriptor {
   power::OppTable gpu_opp_table() const;
 };
 
-/// Memberwise equality; what the JSON round-trip identity test and the
-/// RunPlan template-sharing logic compare.
+/// Equality of every field but the floorplan nodes' initial temperatures
+/// (thermal::same_physics): descriptors that differ only in their warm
+/// start and ambient -- the per-ambient-bin copies a fleet materializes --
+/// step through the same conductance matrices and power model, so they
+/// share a lockstep group (sim/batch_lane.hpp).
+bool same_physics(const PlatformDescriptor& a, const PlatformDescriptor& b);
+
+/// Memberwise equality: same_physics() plus equal initial temperatures;
+/// what the JSON round-trip identity test and the RunPlan template-sharing
+/// logic compare.
 bool operator==(const PlatformDescriptor& a, const PlatformDescriptor& b);
 inline bool operator!=(const PlatformDescriptor& a,
                        const PlatformDescriptor& b) {

@@ -48,20 +48,26 @@ Simulation::Simulation(const ExperimentConfig& config,
                        const sysid::IdentifiedPlatformModel* model,
                        std::unique_ptr<governors::ThermalPolicy> policy_override,
                        const RunPlan* plan)
+    : Simulation(config, model, std::move(policy_override), plan,
+                 util::Rng(config.seed)) {}
+
+Simulation::Simulation(const ExperimentConfig& config,
+                       const sysid::IdentifiedPlatformModel* model,
+                       std::unique_ptr<governors::ThermalPolicy> policy_override,
+                       const RunPlan* plan, util::Rng&& root)
     : config_(validated(config, model)),
       platform_(resolved_platform(config_)),
       runaway_abort_temp_c_(platform_->resolved_runaway_abort_temp_c()),
       dt_s_(config_.control_interval_s),
       substeps_(std::max(1, int(std::lround(dt_s_ / config_.plant_substep_s)))),
       sub_dt_s_(dt_s_ / substeps_),
-      root_(config_.seed),
-      plant_(*platform_, root_,
+      plant_(*platform_, root,
              plan != nullptr ? plan->floorplan_for(*platform_) : nullptr,
              config_.engine),
       bench_(resolve_benchmark(config_, plan)),
       background_(config_.background.has_value() ? *config_.background
                                                  : background_params(bench_),
-                  root_.fork()),
+                  root.fork()),
       instance_(bench_),
       control_(config_, model, std::move(policy_override), platform_.get()),
       observer_(config_.observe_predictions

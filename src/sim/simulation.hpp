@@ -118,6 +118,14 @@ class Simulation {
   RunResult finish();
 
  private:
+  /// The public constructor's body. `root` (seeded with config.seed) seeds
+  /// the plant's streams and then forks the background's; it lives only
+  /// for the construction, not in every Simulation.
+  Simulation(const ExperimentConfig& config,
+             const sysid::IdentifiedPlatformModel* model,
+             std::unique_ptr<governors::ThermalPolicy> policy_override,
+             const RunPlan* plan, util::Rng&& root);
+
   void refresh_view(const std::vector<double>& sensor_temps,
                     double platform_power_w);
 
@@ -142,7 +150,6 @@ class Simulation {
   int substeps_;
   double sub_dt_s_;
 
-  util::Rng root_;
   Plant plant_;
   const workload::Benchmark& bench_;
   workload::BackgroundLoad background_;

@@ -8,7 +8,7 @@
 //     (thermal::PropagatorRcModel) -- one matvec per substep, falling back
 //     to RK4 on steps that straddle a fan transition. Tracks the reference
 //     to floating-point rounding.
-//   * batched: the structure-of-arrays batch lane. Same-platform runs in a
+//   * batched: the structure-of-arrays batch lane. Same-physics runs in a
 //     BatchRunner wave step in lockstep through shared propagator matrices
 //     and a vectorized power model; a standalone run selecting `batched`
 //     behaves as `propagator`. Lane arithmetic may differ from the scalar

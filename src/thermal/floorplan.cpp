@@ -52,23 +52,38 @@ bool FloorplanSpec::has_fan_edge() const {
   return false;
 }
 
-bool operator==(const FloorplanNodeSpec& a, const FloorplanNodeSpec& b) {
-  return a.name == b.name && a.capacitance_j_per_k == b.capacitance_j_per_k &&
-         a.initial_temp_c == b.initial_temp_c &&
-         a.is_boundary == b.is_boundary;
-}
-
 bool operator==(const FloorplanEdgeSpec& a, const FloorplanEdgeSpec& b) {
   return a.node_a == b.node_a && a.node_b == b.node_b &&
          a.conductance_w_per_k == b.conductance_w_per_k &&
          a.fan_modulated == b.fan_modulated;
 }
 
+bool same_physics(const FloorplanSpec& a, const FloorplanSpec& b) {
+  if (a.nodes.size() != b.nodes.size()) return false;
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    const FloorplanNodeSpec& na = a.nodes[i];
+    const FloorplanNodeSpec& nb = b.nodes[i];
+    if (na.name != nb.name ||
+        na.capacitance_j_per_k != nb.capacitance_j_per_k ||
+        na.is_boundary != nb.is_boundary) {
+      return false;
+    }
+  }
+  return a.edges == b.edges && a.core_nodes == b.core_nodes &&
+         a.little_node == b.little_node && a.gpu_node == b.gpu_node &&
+         a.mem_node == b.mem_node && a.sensor_nodes == b.sensor_nodes;
+}
+
+bool same_initial_temps(const FloorplanSpec& a, const FloorplanSpec& b) {
+  if (a.nodes.size() != b.nodes.size()) return false;
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    if (a.nodes[i].initial_temp_c != b.nodes[i].initial_temp_c) return false;
+  }
+  return true;
+}
+
 bool operator==(const FloorplanSpec& a, const FloorplanSpec& b) {
-  return a.nodes == b.nodes && a.edges == b.edges &&
-         a.core_nodes == b.core_nodes && a.little_node == b.little_node &&
-         a.gpu_node == b.gpu_node && a.mem_node == b.mem_node &&
-         a.sensor_nodes == b.sensor_nodes;
+  return same_physics(a, b) && same_initial_temps(a, b);
 }
 
 void validate_floorplan_spec(const FloorplanSpec& spec) {

@@ -142,10 +142,17 @@ struct FloorplanSpec {
   bool has_fan_edge() const;
 };
 
-bool operator==(const FloorplanNodeSpec& a, const FloorplanNodeSpec& b);
 bool operator==(const FloorplanEdgeSpec& a, const FloorplanEdgeSpec& b);
-/// Memberwise equality -- the sharing key for compiled floorplan templates
-/// (sim::RunPlan) now that topology itself is data.
+/// Equality of every field but the nodes' initial temperatures: specs that
+/// differ only in where their nodes start (and where the boundary is
+/// pinned, e.g. a fleet's ambient-shifted copies) compile to one network
+/// with one conductance matrix.
+bool same_physics(const FloorplanSpec& a, const FloorplanSpec& b);
+/// Node-by-node equality of initial temperatures.
+bool same_initial_temps(const FloorplanSpec& a, const FloorplanSpec& b);
+/// Memberwise equality: same_physics() plus same_initial_temps() -- the
+/// sharing key for compiled floorplan templates (sim::RunPlan) now that
+/// topology itself is data.
 bool operator==(const FloorplanSpec& a, const FloorplanSpec& b);
 inline bool operator!=(const FloorplanSpec& a, const FloorplanSpec& b) {
   return !(a == b);

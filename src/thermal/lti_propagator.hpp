@@ -86,10 +86,13 @@ struct PropagatorMatrices {
 /// by column with one accumulator per row; each row's sum is +0.0, then the
 /// Phi terms, then the Gamma terms, both in ascending j, with no fused
 /// multiply-add (the translation unit is built with -ffp-contract=off), so
-/// every lane is bit-identical to the row-major loop on every ISA.
+/// every lane is bit-identical to the row-major loop on every ISA. Buckets
+/// of 4+ lanes of a 9-free-node network run in 8- and 4-lane tiles (one
+/// vector accumulator per row, a lane per element); leftover lanes, narrow
+/// buckets and other networks run lane by lane. Both give the same bits.
 /// `temps_out` may alias `temps`: a lane's x is gathered before its column
-/// is written. `scratch` is resized to 3 * free_count (no allocation once
-/// it has that size).
+/// is written. `scratch` is resized to (3 + stride) * free_count (no
+/// allocation once it has that size).
 void propagate_lanes(const PropagatorMatrices& m, const double* temps,
                      const double* power, std::size_t stride,
                      std::size_t width, double* temps_out,

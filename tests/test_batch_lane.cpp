@@ -6,7 +6,9 @@
 #include <memory>
 #include <vector>
 
+#include "serve/fleet.hpp"
 #include "sim/engine.hpp"
+#include "sim/platform_registry.hpp"
 #include "sim/run_plan.hpp"
 #include "sim/simulation.hpp"
 #include "util/vexp.hpp"
@@ -77,6 +79,157 @@ TEST(PlanLockstepGroups, AllScalarEnginesMeansNoGroups) {
   std::vector<std::size_t> singles;
   EXPECT_TRUE(plan_lockstep_groups(jobs, singles).empty());
   EXPECT_EQ(singles, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+// --- Physics-keyed buckets -------------------------------------------------
+
+/// A fleet spec over one platform on the batched engine, with short
+/// scenarios so whole runs stay quick.
+serve::FleetSpec short_fleet_spec() {
+  serve::FleetSpec spec;
+  spec.base.engine = Engine::kBatched;
+  spec.base.policy = Policy::kDefaultWithFan;
+  spec.base.warmup_s = 2.0;
+  spec.base.max_sim_time_s = 20.0;
+  spec.scenario_nominal_duration_s = 10.0;
+  return spec;
+}
+
+serve::DeviceProfile device_at(double ambient_c, std::uint64_t seed) {
+  serve::DeviceProfile device;
+  device.platform = "odroid-xu-e";
+  device.family = seed % 2 ? "bursty" : "thermal-soak";
+  device.ambient_c = ambient_c;
+  device.seed = seed;
+  return device;
+}
+
+TEST(PlanLockstepGroups, AmbientShiftedCopiesShareOneGroup) {
+  // Two ambient bins of one registry platform, materialized as a fleet
+  // does: distinct descriptors that differ only in initial temperatures.
+  const serve::FleetSpec spec = short_fleet_spec();
+  serve::FleetMaterializer materializer(spec);
+  const std::vector<BatchJob> jobs{
+      {materializer.config_for(device_at(20.0, 1)), nullptr},
+      {materializer.config_for(device_at(31.5, 2)), nullptr},
+      {materializer.config_for(device_at(20.0, 3)), nullptr},
+  };
+  const PlatformPtr cool = resolved_platform(jobs[0].config);
+  const PlatformPtr warm = resolved_platform(jobs[1].config);
+  ASSERT_NE(*cool, *warm);
+  EXPECT_NE(cool->floorplan.ambient_temp_c(), warm->floorplan.ambient_temp_c());
+  EXPECT_TRUE(same_physics(*cool, *warm));
+
+  std::vector<std::size_t> singles;
+  const std::vector<LockstepGroup> groups =
+      plan_lockstep_groups(jobs, singles);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0], (LockstepGroup{0, 1, 2}));
+  EXPECT_TRUE(singles.empty());
+}
+
+TEST(PlanLockstepGroups, PhysicsDifferencesSplitGroups) {
+  const PlatformPtr nominal =
+      PlatformRegistry::instance().get("odroid-xu-e");
+  auto variant = [&](auto mutate) {
+    auto d = std::make_shared<PlatformDescriptor>(*nominal);
+    mutate(*d);
+    return PlatformPtr(std::move(d));
+  };
+  const std::vector<PlatformPtr> platforms{
+      nominal,
+      variant([](PlatformDescriptor& d) {
+        d.floorplan.edges[0].conductance_w_per_k *= 1.5;
+      }),
+      variant([](PlatformDescriptor& d) {
+        d.big_opps.back().voltage_v += 0.01;
+      }),
+      variant([](PlatformDescriptor& d) { d.fan.conductance_low += 0.01; }),
+  };
+  for (std::size_t p = 1; p < platforms.size(); ++p) {
+    EXPECT_FALSE(same_physics(*nominal, *platforms[p])) << p;
+  }
+  // Two jobs per platform, interleaved: each platform gets its own group.
+  std::vector<BatchJob> jobs;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const PlatformPtr& platform : platforms) {
+      ExperimentConfig c;
+      c.engine = Engine::kBatched;
+      set_platform(c, platform);
+      jobs.push_back({c, nullptr});
+    }
+  }
+  std::vector<std::size_t> singles;
+  const std::vector<LockstepGroup> groups =
+      plan_lockstep_groups(jobs, singles);
+  ASSERT_EQ(groups.size(), 4u);
+  for (std::size_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(groups[p], (LockstepGroup{p, p + 4}));
+  }
+  EXPECT_TRUE(singles.empty());
+}
+
+TEST(PlanLockstepGroups, WideBucketsSplitIntoGroupsOfAtMostSixteen) {
+  std::vector<BatchJob> jobs;
+  for (int i = 0; i < 40; ++i) {
+    ExperimentConfig c;
+    c.engine = Engine::kBatched;
+    jobs.push_back({c, nullptr});
+  }
+  std::vector<std::size_t> singles;
+  const std::vector<LockstepGroup> groups =
+      plan_lockstep_groups(jobs, singles, 1);
+  ASSERT_EQ(groups.size(), 3u);
+  std::size_t lanes = 0;
+  for (const LockstepGroup& g : groups) {
+    EXPECT_LE(g.size(), 16u);
+    lanes += g.size();
+  }
+  EXPECT_EQ(lanes, 40u);
+  EXPECT_TRUE(singles.empty());
+}
+
+TEST(BatchedEngine, MixedAmbientGroupEqualsEachJobRunAlone) {
+  // Twelve devices over four ambient bins in one lockstep group: wide
+  // enough for 8- and 4-lane kernel tiles. Each lane reads its own ambient
+  // from its own boundary column, so every job's result must equal the
+  // same job run as a group of one (lane by lane through the kernel) bit
+  // for bit.
+  const serve::FleetSpec spec = short_fleet_spec();
+  serve::FleetMaterializer materializer(spec);
+  const double ambients[] = {20.0, 24.25, 29.5, 35.0};
+  std::vector<BatchJob> jobs;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    jobs.push_back(
+        {materializer.config_for(device_at(ambients[seed % 4], seed)),
+         nullptr});
+  }
+  const RunPlan plan(jobs);
+  std::vector<std::size_t> singles;
+  const std::vector<LockstepGroup> groups =
+      plan_lockstep_groups(jobs, singles, 1);
+  ASSERT_EQ(groups.size(), 1u);
+  ASSERT_EQ(groups[0].size(), jobs.size());
+
+  std::vector<RunResult> grouped(jobs.size()), alone(jobs.size());
+  std::vector<std::exception_ptr> errors(jobs.size());
+  run_lockstep_group(jobs, groups[0], plan, grouped, errors);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    run_lockstep_group(jobs, LockstepGroup{i}, plan, alone, errors);
+  }
+  for (const std::exception_ptr& e : errors) EXPECT_TRUE(e == nullptr);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_GT(grouped[i].platform_energy_j, 0.0);
+    EXPECT_EQ(grouped[i].completed, alone[i].completed);
+    EXPECT_EQ(grouped[i].control_steps, alone[i].control_steps);
+    EXPECT_EQ(grouped[i].plant_substeps, alone[i].plant_substeps);
+    EXPECT_EQ(grouped[i].execution_time_s, alone[i].execution_time_s);
+    EXPECT_EQ(grouped[i].platform_energy_j, alone[i].platform_energy_j);
+    EXPECT_EQ(grouped[i].avg_platform_power_w, alone[i].avg_platform_power_w);
+    EXPECT_EQ(grouped[i].max_temp_stats.max(), alone[i].max_temp_stats.max());
+    EXPECT_EQ(grouped[i].max_temp_stats.mean(), alone[i].max_temp_stats.mean());
+  }
 }
 
 // --- Lockstep kernel vs scalar stepping -------------------------------------

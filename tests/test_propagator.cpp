@@ -331,59 +331,79 @@ TEST(PropagatorKernel, StepEqualsRowMajorReferenceAtEveryPaddedWidth) {
   }
 }
 
-// One lockstep bucket's thermal update (thermal::propagate_lanes over a
-// bucket's strided columns, as the batched engine runs it) equals the
-// scalar propagator for identical inputs, lane by lane, at bucket widths on
-// both sides of a vector register. The bucket sits one lane into wider SoA
-// rows, as a non-first fan-state bucket does.
+/// One lockstep bucket of `width` copies of `base` (thermal::propagate_lanes
+/// over a bucket's strided columns, as the batched engine runs it) against
+/// the scalar propagator stepping each copy alone, for identical inputs.
+/// Every lane starts from its own temperatures and boundary (ambient)
+/// temperature. The bucket sits one lane into wider SoA rows, as a
+/// non-first fan-state bucket does.
+void expect_bucket_matches_scalar(const RcNetwork& base, std::size_t width,
+                                  const std::string& label) {
+  const std::size_t nodes = base.node_count();
+  const std::size_t stride = width + 2;
+  const std::size_t lo = 1;
+  std::vector<RcNetwork> lanes(width, base);
+  std::vector<std::vector<double>> powers;
+  for (std::size_t l = 0; l < width; ++l) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      if (lanes[l].node(i).is_boundary) {
+        lanes[l].set_boundary_temperature_c(i, 20.0 + double(l));
+      } else {
+        lanes[l].set_temperature_c(i, 40.0 + 3.1 * double(l) + double(i));
+      }
+    }
+    powers.push_back(sinusoid_power(nodes, int(l)));
+  }
+  PropagatorRcModel engine;
+  const PropagatorMatrices& m = engine.matrices_for(lanes[0], 0.01);
+
+  // [node][lane] SoA rows as the lane keeps them.
+  std::vector<double> temps(nodes * stride, -1.0);
+  std::vector<double> power(nodes * stride, -1.0);
+  for (std::size_t l = 0; l < width; ++l) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      temps[i * stride + lo + l] = lanes[l].temperature_c(i);
+      power[i * stride + lo + l] = powers[l][i];
+    }
+  }
+  std::vector<double> out = temps;
+  std::vector<double> scratch;
+  thermal::propagate_lanes(m, &temps[lo], &power[lo], stride, width,
+                           &out[lo], scratch);
+
+  for (std::size_t l = 0; l < width; ++l) {
+    engine.step(lanes[l], 0.01, powers[l]);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      EXPECT_EQ(out[i * stride + lo + l], lanes[l].temperature_c(i))
+          << label << " width " << width << " lane " << l << " node " << i;
+    }
+  }
+  EXPECT_EQ(engine.fallback_steps(), 0u) << label;
+  // Columns outside the bucket are untouched.
+  for (std::size_t i = 0; i < nodes; ++i) {
+    EXPECT_EQ(out[i * stride], -1.0) << label;
+    EXPECT_EQ(out[i * stride + lo + width], -1.0) << label;
+  }
+}
+
+// The registry floorplan (9 free nodes) at bucket widths that take the
+// lane-by-lane path (1, 3), whole 4- and 8-lane tiles (4, 8, 12, 16) and
+// tiles plus leftover lanes (9, 17).
 TEST(PropagatorKernel, LockstepBucketEqualsScalarPropagatorPerLane) {
-  for (std::size_t width : {1u, 3u, 8u, 9u}) {
-    const std::size_t stride = width + 2;
-    const std::size_t lo = 1;
-    std::vector<Floorplan> lanes;
-    std::vector<std::vector<double>> powers;
-    lanes.reserve(width);
-    for (std::size_t l = 0; l < width; ++l) {
-      Floorplan fp = make_default_floorplan();
-      for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-        if (fp.network.node(i).is_boundary) continue;
-        fp.network.set_temperature_c(i, 40.0 + 3.1 * double(l) + double(i));
-      }
-      fp.network.set_boundary_temperature_c(
-          node_index(FloorplanNode::kAmbient), 20.0 + double(l));
-      lanes.push_back(std::move(fp));
-      powers.push_back(sinusoid_power(kFloorplanNodeCount, int(l)));
-    }
-    PropagatorRcModel engine;
-    const PropagatorMatrices& m = engine.matrices_for(lanes[0].network, 0.01);
+  const Floorplan fp = make_default_floorplan();
+  for (std::size_t width : {1u, 3u, 4u, 8u, 9u, 12u, 16u, 17u}) {
+    expect_bucket_matches_scalar(fp.network, width, "default floorplan");
+  }
+}
 
-    // [node][lane] SoA rows as the lane keeps them.
-    std::vector<double> temps(kFloorplanNodeCount * stride, -1.0);
-    std::vector<double> power(kFloorplanNodeCount * stride, -1.0);
-    for (std::size_t l = 0; l < width; ++l) {
-      for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-        temps[i * stride + lo + l] = lanes[l].network.temperature_c(i);
-        power[i * stride + lo + l] = powers[l][i];
-      }
-    }
-    std::vector<double> out = temps;
-    std::vector<double> scratch;
-    thermal::propagate_lanes(m, &temps[lo], &power[lo], stride, width,
-                             &out[lo], scratch);
-
-    for (std::size_t l = 0; l < width; ++l) {
-      engine.step(lanes[l].network, 0.01, powers[l]);
-      for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-        EXPECT_EQ(out[i * stride + lo + l],
-                  lanes[l].network.temperature_c(i))
-            << "width " << width << " lane " << l << " node " << i;
-      }
-    }
-    EXPECT_EQ(engine.fallback_steps(), 0u);
-    // Columns outside the bucket are untouched.
-    for (std::size_t i = 0; i < kFloorplanNodeCount; ++i) {
-      EXPECT_EQ(out[i * stride], -1.0);
-      EXPECT_EQ(out[i * stride + lo + width], -1.0);
+// Other free-node counts: 9 in another topology takes the tiles, 5 and 13
+// run lane by lane at every width.
+TEST(PropagatorKernel, LockstepBucketEqualsScalarAtOtherFreeCounts) {
+  for (std::size_t free_count : {5u, 9u, 13u}) {
+    const RcNetwork network = make_chain_network(free_count);
+    for (std::size_t width : {4u, 9u}) {
+      expect_bucket_matches_scalar(network, width,
+                                   std::to_string(free_count) + " free");
     }
   }
 }

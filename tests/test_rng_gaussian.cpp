@@ -1,19 +1,83 @@
-// Pins the hand-rolled Rng::gaussian() to the libstdc++ sequence the golden
-// traces were recorded against: a fresh std::normal_distribution per call
-// over the same mt19937_64 must produce bit-identical deviates AND leave
-// the engine in a bit-identical state, across means, stddevs and long
-// interleaved sequences. If this ever fails on a new standard library, the
-// golden traces -- not this implementation -- are what changed meaning.
+// Pins util::Rng to the libstdc++ sequences the golden traces were
+// recorded against. The branchless Mt19937_64 must emit std::mt19937_64's
+// words, and every Rng draw must equal the same standard call made through
+// a std::mt19937_64. The hand-rolled gaussian() in particular must match a
+// fresh std::normal_distribution per call over the same engine:
+// bit-identical deviates AND a bit-identical engine state afterwards,
+// across means, stddevs and long interleaved sequences. If this ever fails
+// on a new standard library, the golden traces -- not this implementation
+// -- are what changed meaning.
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <type_traits>
 
 #include "util/vgauss.hpp"
 
 namespace dtpm::util {
 namespace {
+
+// A UniformRandomBitGenerator with std::mt19937_64's range, so the standard
+// distributions take the same code path over it.
+static_assert(std::is_same_v<Mt19937_64::result_type, std::uint64_t>);
+static_assert(Mt19937_64::min() == std::mt19937_64::min());
+static_assert(Mt19937_64::max() == std::mt19937_64::max());
+static_assert(Mt19937_64::max() == std::numeric_limits<std::uint64_t>::max());
+
+constexpr std::uint64_t kSeeds[] = {0, 1, 42,
+                                    std::numeric_limits<std::uint64_t>::max()};
+
+TEST(MtEngine, WordsEqualTheStandardEngineOverFiveRefills) {
+  // 312 words per refill: 1600 words cross five twists.
+  for (std::uint64_t seed : kSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 1600; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(MtEngine, DefaultSeedMatchesTheStandardEngine) {
+  Mt19937_64 engine;
+  std::mt19937_64 reference;
+  for (int i = 0; i < 400; ++i) ASSERT_EQ(engine(), reference()) << i;
+}
+
+TEST(Rng, DrawsEqualTheStandardCallsOverTheStandardEngine) {
+  for (std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    // Interleaved, long enough to cross several refills.
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(rng.uniform(-2.0, 3.0),
+                std::uniform_real_distribution<double>(-2.0, 3.0)(reference))
+          << i;
+      ASSERT_EQ(rng.uniform_int(-5, 1000),
+                std::uniform_int_distribution<std::int64_t>(-5, 1000)(
+                    reference))
+          << i;
+      ASSERT_EQ(rng.bernoulli(0.3),
+                std::bernoulli_distribution(0.3)(reference))
+          << i;
+      ASSERT_EQ(rng.gaussian(1.0, 0.5),
+                std::normal_distribution<double>(1.0, 0.5)(reference))
+          << i;
+    }
+    // A fork seeds its child from the next word, and the child's stream is
+    // the standard engine's stream from that seed.
+    Rng child = rng.fork();
+    std::mt19937_64 reference_child(reference() ^ 0x9e3779b97f4a7c15ULL);
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(child.engine()(), reference_child()) << i;
+    }
+    ASSERT_EQ(rng.engine()(), reference());
+  }
+}
 
 TEST(RngGaussian, BitIdenticalToFreshNormalDistributionPerCall) {
   Rng rng(12345);

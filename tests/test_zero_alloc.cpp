@@ -153,8 +153,9 @@ TEST(ZeroAllocation, BatchedLaneSteadyStateWaveAllocatesNothing) {
   // begin_step, the SoA kernel with its fan-state insertion sort and the
   // schedule memo -- must be as heap-silent as the scalar path once every
   // scratch vector (noise block, lane columns, memo hashes, propagator
-  // cache) has hit its high-water mark.
-  constexpr int kLanes = 4;
+  // cache) has hit its high-water mark. Nine lanes: a fan-state bucket of
+  // four or more runs the kernel's lane tiles under the guard too.
+  constexpr int kLanes = 9;
   std::vector<std::unique_ptr<Simulation>> sims;
   for (int i = 0; i < kLanes; ++i) {
     ExperimentConfig config;
