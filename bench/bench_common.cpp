@@ -17,7 +17,7 @@ sim::ExperimentConfig policy_config(const std::string& benchmark,
                                     unsigned horizon_steps) {
   sim::ExperimentConfig config;
   config.benchmark = benchmark;
-  sim::set_policy(config, policy);
+  config.policy_name = policy;
   config.record_trace = record_trace;
   config.observe_predictions = observe_predictions;
   config.observe_horizon_steps = horizon_steps;

@@ -36,8 +36,7 @@ int main() {
   for (const auto& b : workload::standard_suite()) {
     grid.benchmarks.push_back(b.name);
   }
-  grid.policy_names = {"default+fan", "dtpm",
-                   "reactive"};
+  grid.policies = {"default+fan", "dtpm", "reactive"};
   const std::vector<sim::RunResult> results =
       bench::run_batch(sim::sweep(grid));
 

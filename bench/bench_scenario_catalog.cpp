@@ -48,15 +48,14 @@ int main(int argc, char** argv) {
   const sim::ScenarioCatalog catalog = sim::ScenarioCatalog::standard();
   sim::ScenarioCatalog::Sweep sweep;
   sweep.base.max_sim_time_s = 300.0;
-  sweep.policy_names = {"default+fan",
-                    "dtpm"};
+  sweep.policies = {"default+fan", "dtpm"};
   sweep.seeds.clear();
   for (int s = 1; s <= std::max(1, seed_count); ++s) sweep.seeds.push_back(s);
 
   const std::vector<sim::ExperimentConfig> configs = catalog.expand(sweep);
   std::printf("  sweeping %zu families x %zu seeds x %zu policies = %zu runs "
               "on %u workers\n\n",
-              catalog.size(), sweep.seeds.size(), sweep.policy_names.size(),
+              catalog.size(), sweep.seeds.size(), sweep.policies.size(),
               configs.size(), sim::BatchRunner().worker_count());
 
   std::vector<sim::BatchJob> jobs;
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
         std::rethrow_exception(outcome.errors[i]);
       } catch (const std::exception& e) {
         std::printf("  RUN FAILED %s (%s): %s\n", configs[i].benchmark.c_str(),
-                    sim::resolved_policy_name(configs[i]).c_str(), e.what());
+                    configs[i].policy_name.c_str(), e.what());
       }
       ++fam.crashed;
       ++total_crashes;
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
     const auto violations = checker.check(configs[i], r);
     if (!violations.empty()) {
       std::printf("  INVARIANT FAILURES in %s (%s):\n%s",
-                  configs[i].benchmark.c_str(), sim::resolved_policy_name(configs[i]).c_str(),
+                  configs[i].benchmark.c_str(), configs[i].policy_name.c_str(),
                   sim::InvariantChecker::describe(violations).c_str());
     }
     fam.invariant_violations += int(violations.size());

@@ -138,13 +138,13 @@ int main(int argc, char** argv) {
   sim::ScenarioCatalog::Sweep sweep;
   sweep.base.max_sim_time_s = smoke ? 30.0 : 120.0;
   sweep.base.record_trace = false;
-  sweep.policy_names = {"default+fan", "dtpm"};
+  sweep.policies = {"default+fan", "dtpm"};
   sweep.seeds.clear();
   for (int s = 1; s <= seed_count; ++s) sweep.seeds.push_back(s);
   // The perf baseline is tied to the plant it measured; record it so a
   // future platform change in this bench can't be mistaken for a perf
   // regression (or win) in the archived trajectory.
-  const std::string platform = sim::resolved_platform_name(sweep.base);
+  const std::string platform = sweep.base.platform->name;
 
   std::vector<sim::ExperimentConfig> configs = catalog.expand(sweep);
 
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
 
   std::printf("  %zu families x %zu seeds x %zu policies = %zu runs per "
               "cell; %zu engines x %zu worker counts (%s)\n",
-              catalog.size(), sweep.seeds.size(), sweep.policy_names.size(),
+              catalog.size(), sweep.seeds.size(), sweep.policies.size(),
               configs.size(), engines.size(), worker_counts.size(),
               smoke ? "smoke" : "full");
   std::printf("  compiler %s, build %s, %u hardware thread%s\n\n",
@@ -272,8 +272,8 @@ int main(int argc, char** argv) {
        << "  \"families\": " << catalog.size() << ",\n"
        << "  \"seeds\": " << sweep.seeds.size() << ",\n"
        << "  \"policies\": [";
-  for (std::size_t p = 0; p < sweep.policy_names.size(); ++p) {
-    json << (p == 0 ? "" : ", ") << '"' << sweep.policy_names[p] << '"';
+  for (std::size_t p = 0; p < sweep.policies.size(); ++p) {
+    json << (p == 0 ? "" : ", ") << '"' << sweep.policies[p] << '"';
   }
   json << "],\n"
        << "  \"runs_per_cell\": " << configs.size() << ",\n"

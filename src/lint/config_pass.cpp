@@ -19,15 +19,15 @@ std::string num(double value) {
   return util::json_write(util::JsonValue(value), 0);
 }
 
-/// L401-L403: the policy_params bag against what the resolved policy and
+/// L401-L403: the policy_params bag against what the config's policy and
 /// governor declared. Both factories see the same bag, so a key is known
 /// when either schema declares it; unknown-key checks need both schemas
 /// declared (an undeclared one could consume anything).
 void lint_policy_params(const sim::ExperimentConfig& config,
                         const std::string& path, util::DiagnosticSink& sink) {
   if (config.policy_params.empty()) return;
-  const std::string policy = sim::resolved_policy_name(config);
-  const std::string governor = sim::resolved_governor_name(config);
+  const std::string& policy = config.policy_name;
+  const std::string& governor = config.governor_name;
   const governors::ParamSchema policy_schema =
       governors::PolicyRegistry::instance().param_schema(policy);
   const governors::ParamSchema governor_schema =
@@ -99,7 +99,7 @@ void lint_policy_params(const sim::ExperimentConfig& config,
 void lint_experiment(const sim::ExperimentConfig& config,
                      const std::string& path, util::DiagnosticSink& sink,
                      const LintOptions& options) {
-  const sim::PlatformPtr platform = sim::resolved_platform(config);
+  const sim::PlatformPtr& platform = config.platform;
   lint_platform(*platform, path + ".platform", sink, options);
 
   // L301: a thermal constraint at or above the runaway-abort ceiling --

@@ -113,8 +113,7 @@ void lint_fleet(const serve::FleetSpec& spec, const util::JsonValue* json,
   // enters) violation, which no policy can manage away.
   const std::vector<serve::FleetWeight> platforms =
       spec.platforms.empty()
-          ? std::vector<serve::FleetWeight>{
-                {sim::resolved_platform_name(spec.base), 1.0}}
+          ? std::vector<serve::FleetWeight>{{spec.base.platform->name, 1.0}}
           : spec.platforms;
   for (const serve::FleetWeight& e : platforms) {
     if (!registry.contains(e.name)) continue;  // L703 already reported

@@ -31,7 +31,7 @@ std::vector<std::string> standard_family_names() {
 /// config's platform, families to every standard family.
 std::vector<FleetWeight> effective_platforms(const FleetSpec& spec) {
   if (!spec.platforms.empty()) return spec.platforms;
-  return {{sim::resolved_platform_name(spec.base), 1.0}};
+  return {{spec.base.platform->name, 1.0}};
 }
 
 std::vector<FleetWeight> effective_families(const FleetSpec& spec) {
@@ -166,7 +166,7 @@ FleetMaterializer::FleetMaterializer(const FleetSpec& spec)
       // t_max that differs from its platform's default was set on purpose
       // and survives per-device platform selection.
       t_max_pinned_(spec.base.dtpm.t_max_c !=
-                    sim::resolved_platform(spec.base)->default_t_max_c) {}
+                    spec.base.platform->default_t_max_c) {}
 
 sim::PlatformPtr FleetMaterializer::descriptor_for(
     const DeviceProfile& device) {

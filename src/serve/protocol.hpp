@@ -25,6 +25,8 @@
 //   S005  submit rejected: server is draining for shutdown
 //   S006  job execution failed (the result reply's state is "failed")
 //   S007  submit rejected: job queue is at capacity (backpressure)
+//   S008  request line longer than the server's fixed limit (1 MiB);
+//         discarded up to its newline, the session continues
 #pragma once
 
 #include <cstddef>
@@ -47,6 +49,7 @@ inline constexpr const char* kCodeUnknownJob = "S004";
 inline constexpr const char* kCodeDraining = "S005";
 inline constexpr const char* kCodeJobFailed = "S006";
 inline constexpr const char* kCodeQueueFull = "S007";
+inline constexpr const char* kCodeLineTooLong = "S008";
 
 /// One parsed request line.
 struct Request {

@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include <cerrno>
@@ -28,6 +29,39 @@ using util::JsonObject;
 using util::JsonValue;
 
 constexpr std::chrono::milliseconds kIdlePoll{50};
+
+/// Longest request line the server buffers. A longer one is discarded up to
+/// its newline and answered with S008, so a client that never sends '\n'
+/// cannot grow server memory without bound.
+constexpr std::size_t kMaxRequestBytes = std::size_t(1) << 20;
+
+enum class LineRead { kLine, kTooLong, kFailed };
+
+/// std::getline with a length cap, leaving the same stream state behind: a
+/// last line without '\n' still counts, and kFailed means nothing was
+/// extracted (serve() then tells EOF from an interrupted read).
+LineRead read_request_line(std::istream& in, std::string& line) {
+  line.clear();
+  bool too_long = false;
+  for (;;) {
+    const int c = in.get();
+    if (c == std::char_traits<char>::eof()) {
+      if (line.empty() && !too_long) return LineRead::kFailed;
+      in.clear(in.rdstate() & ~std::ios::failbit);
+      break;
+    }
+    if (c == '\n') break;
+    if (too_long) continue;
+    if (line.size() == kMaxRequestBytes) {
+      too_long = true;
+      line.clear();
+      line.shrink_to_fit();
+      continue;
+    }
+    line.push_back(char(c));
+  }
+  return too_long ? LineRead::kTooLong : LineRead::kLine;
+}
 
 }  // namespace
 
@@ -133,7 +167,7 @@ void Server::execute_run(JobRecord& job, sim::RunPlan& plan) {
   // a burst of submitted runs cannot grow server memory.
   config.record_trace = false;
 
-  plan.cache_platform(sim::resolved_platform(config));
+  plan.cache_platform(config.platform);
   plan.cache_benchmark_for(config);
   const sysid::IdentifiedPlatformModel* model =
       sim::needs_identified_model(config) ? plan.cache_model_for(config)
@@ -268,7 +302,8 @@ ServeStatus Server::serve(std::istream& in, std::ostream& out) {
       status = ServeStatus::kStopped;
       break;
     }
-    if (!std::getline(in, line)) {
+    const LineRead read = read_request_line(in, line);
+    if (read == LineRead::kFailed) {
       if (stopping()) {
         status = ServeStatus::kStopped;
         break;
@@ -287,6 +322,15 @@ ServeStatus Server::serve(std::istream& in, std::ostream& out) {
       continue;
     }
     retries = 0;
+    if (read == LineRead::kTooLong) {
+      telemetry_.requests.fetch_add(1, std::memory_order_relaxed);
+      telemetry_.malformed.fetch_add(1, std::memory_order_relaxed);
+      emit(make_error(kCodeLineTooLong,
+                      "request line exceeds " +
+                          std::to_string(kMaxRequestBytes) +
+                          " bytes; discarded"));
+      continue;
+    }
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     if (line.rfind("//", line.find_first_not_of(" \t")) ==
         line.find_first_not_of(" \t")) {

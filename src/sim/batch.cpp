@@ -148,7 +148,8 @@ std::vector<ExperimentConfig> sweep(const SweepGrid& grid) {
       grid.benchmarks.empty() ? std::vector<std::string>{grid.base.benchmark}
                               : grid.benchmarks;
   const std::vector<std::string> policies =
-      merged_policy_axis(grid.policies, grid.policy_names, grid.base);
+      grid.policies.empty() ? std::vector<std::string>{grid.base.policy_name}
+                            : grid.policies;
   const std::vector<std::uint64_t> seeds =
       grid.seeds.empty() ? std::vector<std::uint64_t>{grid.base.seed}
                          : grid.seeds;
@@ -162,7 +163,7 @@ std::vector<ExperimentConfig> sweep(const SweepGrid& grid) {
   for (const std::string& name : grid.platforms) {
     platforms.push_back(PlatformRegistry::instance().get(name));
   }
-  if (platforms.empty()) platforms.push_back(nullptr);  // inherit from base
+  if (platforms.empty()) platforms.push_back(grid.base.platform);
 
   std::vector<ExperimentConfig> configs;
   configs.reserve(benchmarks.size() * platforms.size() * policies.size() *
@@ -178,8 +179,8 @@ std::vector<ExperimentConfig> sweep(const SweepGrid& grid) {
             // inline scenario inherited from `base` would otherwise shadow
             // every name (Simulation prefers config.scenario).
             if (!grid.benchmarks.empty()) config.scenario.reset();
-            if (platform != nullptr) set_platform(config, platform);
-            set_policy(config, policy);
+            if (!grid.platforms.empty()) set_platform(config, platform);
+            config.policy_name = policy;
             // An explicit dtpm axis overrides the platform's default t_max;
             // without one the grid inherits base.dtpm (already copied),
             // adjusted by set_platform above.

@@ -101,12 +101,9 @@ struct SweepGrid {
   /// policy cell runs once per platform. Empty falls back to base's
   /// platform, so existing grids expand exactly as before.
   std::vector<std::string> platforms;
-  std::vector<Policy> policies;
-  /// Registry-name policy axis; appended after `policies` (mapped onto their
-  /// registry names), so enum-based and name-based selections mix freely and
-  /// user-registered policies sweep exactly like the built-ins. Both axes
-  /// empty falls back to base's resolved policy.
-  std::vector<std::string> policy_names;
+  /// PolicyRegistry names; user-registered policies sweep exactly like the
+  /// built-ins.
+  std::vector<std::string> policies;
   std::vector<std::uint64_t> seeds;
   std::vector<core::DtpmParams> dtpm_params;
 };
@@ -114,10 +111,9 @@ struct SweepGrid {
 /// Expands the grid in row-major order (benchmark outermost, then platform,
 /// then policy, then DtpmParams, then seed), giving every config a
 /// deterministic seed from the grid -- the same grid always produces the
-/// same configs. Every generated config carries its policy by registry name
-/// (policy_name, enum shim kept in sync for the four paper policies) and
-/// its platform by descriptor (set_platform, which also adopts the
-/// platform's default t_max unless a dtpm axis overrides it).
+/// same configs. A platforms axis selects each platform through
+/// set_platform, which also adopts the platform's default t_max unless a
+/// dtpm axis overrides it.
 std::vector<ExperimentConfig> sweep(const SweepGrid& grid);
 
 }  // namespace dtpm::sim

@@ -384,11 +384,11 @@ std::vector<LockstepGroup> plan_lockstep_groups(
       singles.push_back(i);
       continue;
     }
-    // Physics equality, not pointer identity: preset-only configs
-    // synthesize a fresh descriptor each, and a fleet's per-ambient copies
-    // of one platform differ only in initial temperatures, which each lane
-    // carries in its own column.
-    const PlatformPtr platform = resolved_platform(config);
+    // Physics equality, not pointer identity: hand-built configs may carry
+    // equal descriptors under different pointers, and a fleet's per-ambient
+    // copies of one platform differ only in initial temperatures, which
+    // each lane carries in its own column.
+    const PlatformPtr& platform = config.platform;
     bool placed = false;
     for (Bucket& b : buckets) {
       if (b.control_interval_s == config.control_interval_s &&

@@ -360,11 +360,7 @@ std::size_t second_op_index(Resource r) {
 CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options) {
   CalibrationArtifacts art;
   util::Rng root(options.seed);
-  const PlatformPtr platform =
-      options.platform != nullptr
-          ? options.platform
-          : std::make_shared<const PlatformDescriptor>(
-                descriptor_from_preset(options.preset));
+  const PlatformPtr& platform = options.platform;
 
   // --- 1. Furnace leakage characterization -----------------------------------
   for (Resource r : power::all_resources()) {
@@ -411,8 +407,11 @@ const CalibrationArtifacts& platform_calibration(const PlatformPtr& platform) {
     throw std::invalid_argument("platform_calibration: null platform");
   }
   // The default platform shares the default_calibration() artifacts, so
-  // legacy callers and platform-aware callers agree on one model.
-  if (*platform == PlatformDescriptor{}) return default_calibration();
+  // every caller agrees on one model.
+  const PlatformPtr& fallback = default_platform();
+  if (platform == fallback || *platform == *fallback) {
+    return default_calibration();
+  }
 
   // Keyed by descriptor *identity* (pointer fast path, then memberwise
   // equality), never by name alone: two different descriptors that happen to

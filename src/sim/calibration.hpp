@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/preset.hpp"
+#include "sim/platform.hpp"
 #include "sysid/arx_fit.hpp"
 #include "sysid/leakage_fit.hpp"
 #include "sysid/model_store.hpp"
@@ -29,12 +29,8 @@
 namespace dtpm::sim {
 
 struct CalibrationOptions {
-  /// Legacy scalar-parameter plant description; used only when `platform`
-  /// is null (the workflow then runs against the default Odroid topology
-  /// with these parameters).
-  PlatformPreset preset = default_preset();
-  /// The platform to calibrate. Null = descriptor_from_preset(preset).
-  PlatformPtr platform;
+  /// The platform to calibrate (never null).
+  PlatformPtr platform = default_platform();
   double control_interval_s = 0.1;
   double plant_substep_s = 0.02;
 
@@ -70,9 +66,10 @@ CalibrationArtifacts calibrate_platform_full(const CalibrationOptions& options =
 sysid::IdentifiedPlatformModel calibrate_platform(
     const CalibrationOptions& options = {});
 
-/// Process-wide cached calibration with default options; benches and tests
-/// share it so the (cheap but not free) workflow runs once. Equivalent to
-/// platform_calibration() on the odroid-xu-e descriptor.
+/// Process-wide cached calibration with default options, i.e. of the
+/// default Odroid platform; benches and tests share it so the (cheap but not
+/// free) workflow runs once. platform_calibration() returns these same
+/// artifacts for default_platform() and any descriptor equal to it.
 const CalibrationArtifacts& default_calibration();
 
 /// Process-wide per-platform calibration cache, keyed by descriptor name:

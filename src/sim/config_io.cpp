@@ -34,6 +34,7 @@ constexpr char kCodeRange[] = "L003";     // value outside its valid range
 constexpr char kCodeUnknownField[] = "L004";
 constexpr char kCodeUnknownName[] = "L005";
 constexpr char kCodeConstraint[] = "L006";  // structural/semantic violation
+constexpr char kCodeRetired[] = "L007";     // retired key, still accepted
 
 /// Collecting-mode control flow: thrown *after* an error was reported when
 /// the surrounding subtree cannot be parsed further (e.g. a member that is
@@ -965,7 +966,7 @@ JsonValue to_json(const ExperimentConfig& config) {
     scenario.set("benchmark", to_json(*config.scenario));
     json.set("scenario", std::move(scenario));
   }
-  json.set("policy", resolved_policy_name(config));
+  json.set("policy", config.policy_name);
   if (!config.policy_params.empty()) {
     JsonValue params((JsonObject()));
     for (const auto& [key, value] : config.policy_params) {
@@ -973,7 +974,7 @@ JsonValue to_json(const ExperimentConfig& config) {
     }
     json.set("policy_params", std::move(params));
   }
-  json.set("governor", resolved_governor_name(config));
+  json.set("governor", config.governor_name);
   if (config.background.has_value()) {
     // Emitted only when set, so configs that derive their background from
     // the benchmark (the default) round-trip byte-identically.
@@ -992,19 +993,15 @@ JsonValue to_json(const ExperimentConfig& config) {
     background.set("heavy_mem_intensity", b.heavy_mem_intensity);
     json.set("background", std::move(background));
   }
-  if (config.platform != nullptr) {
-    // Emit the compact registry reference when the descriptor is exactly a
-    // registered one; a customized descriptor rides along fully inline so
-    // every config stays lossless.
-    const PlatformRegistry& registry = PlatformRegistry::instance();
-    if (registry.contains(config.platform->name) &&
-        *registry.get(config.platform->name) == *config.platform) {
-      json.set("platform", config.platform->name);
-    } else {
-      json.set("platform", to_json(*config.platform));
-    }
+  // Emit the compact registry reference when the descriptor is exactly a
+  // registered one; a customized descriptor rides along fully inline so
+  // every config stays lossless.
+  const PlatformRegistry& registry = PlatformRegistry::instance();
+  if (registry.contains(config.platform->name) &&
+      *registry.get(config.platform->name) == *config.platform) {
+    json.set("platform", config.platform->name);
   } else {
-    json.set("preset", "default");
+    json.set("platform", to_json(*config.platform));
   }
   json.set("dtpm", to_json(config.dtpm));
   json.set("engine", to_string(config.engine));
@@ -1096,7 +1093,7 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
   reader.string("policy", policy);
   if (!policy.empty() &&
       validate_policy_name(policy, path + ".policy", sink)) {
-    set_policy(config, policy);
+    config.policy_name = policy;
   }
 
   if (const JsonValue* params = reader.get("policy_params")) {
@@ -1149,15 +1146,21 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
     });
   }
 
+  // The retired "preset" key: its one valid value named the default
+  // platform, which a config already runs on unless "platform" says
+  // otherwise, so it still parses (with a warning); any other value is an
+  // error pointing at "platform".
   std::string preset;
   reader.string("preset", preset);
-  if (!preset.empty()) {
-    try {
-      config.preset = preset_by_name(preset);
-    } catch (const std::exception&) {
-      sink.error(kCodeUnknownName, path + ".preset",
-                 util::unknown_name_message("preset", preset, preset_names()));
-    }
+  if (preset == "default") {
+    sink.warning(kCodeRetired, path + ".preset",
+                 "the 'preset' key is retired; write "
+                 "\"platform\": \"odroid-xu-e\"");
+  } else if (!preset.empty()) {
+    sink.error(kCodeUnknownName, path + ".preset",
+               "unknown preset '" + preset +
+                   "': the 'preset' key is retired; select the plant with "
+                   "\"platform\"");
   }
 
   // "platform" selects the plant: a registry name ("dragon") or a fully
@@ -1177,8 +1180,8 @@ void experiment_into(ExperimentConfig& config, const JsonValue& json,
       }
     } else if (platform->is_object()) {
       // Adopt the inline descriptor only when its subtree parsed clean:
-      // set_platform derives the preset mirror from the descriptor, which
-      // a knowingly broken one cannot support.
+      // set_platform validates the descriptor, which a knowingly broken one
+      // cannot pass.
       const std::size_t errors_before = sink.error_count();
       PlatformDescriptor d = platform_from_json(*platform, platform_path,
                                                 sink);
@@ -1270,7 +1273,7 @@ std::vector<ExperimentConfig> SweepSpec::expand() const {
     sweep.base = base;
     sweep.families = families;
     sweep.platforms = platforms;
-    sweep.policy_names = policies;
+    sweep.policies = policies;
     if (!scenario_seeds.empty()) sweep.seeds = scenario_seeds;
     return ScenarioCatalog::standard(scenario_params).expand(sweep);
   }
@@ -1278,7 +1281,7 @@ std::vector<ExperimentConfig> SweepSpec::expand() const {
   grid.base = base;
   grid.benchmarks = benchmarks;
   grid.platforms = platforms;
-  grid.policy_names = policies;
+  grid.policies = policies;
   grid.seeds = seeds;
   grid.dtpm_params = dtpm_grid;
   return sweep(grid);

@@ -103,4 +103,10 @@ bool operator==(const PlatformDescriptor& a, const PlatformDescriptor& b) {
                                                            b.floorplan);
 }
 
+const PlatformPtr& default_platform() {
+  static const PlatformPtr platform =
+      std::make_shared<const PlatformDescriptor>();
+  return platform;
+}
+
 }  // namespace dtpm::sim

@@ -15,13 +15,6 @@ power::Opp opp(double mhz, double volt) { return {mhz * 1e6, volt}; }
 
 }  // namespace
 
-PlatformDescriptor odroid_xu_e_platform() {
-  // The default-constructed descriptor IS the Odroid: every member's default
-  // reproduces the legacy PlatformPreset{} plant exactly (pinned by
-  // tests/test_platform.cpp against the enum-era default_preset() path).
-  return PlatformDescriptor{};
-}
-
 PlatformDescriptor dragon_platform() {
   PlatformDescriptor d;
   d.name = "dragon";
@@ -182,7 +175,7 @@ PlatformDescriptor compact_platform() {
   link("gpu", "mem", 0.04);
   link("little", "gpu", 0.03);
   // The only exit is through the skin; a phone has no fan and little
-  // radiating area, which is exactly the tight headroom this preset models.
+  // radiating area, which is exactly the tight headroom this platform models.
   link("frame", "skin", 0.16);
   link("skin", "ambient", 0.095);
 
@@ -240,7 +233,7 @@ PlatformRegistry& PlatformRegistry::instance() {
   // other TUs, whatever the destruction order.
   static PlatformRegistry* registry = [] {
     auto* r = new PlatformRegistry;
-    r->add(odroid_xu_e_platform());
+    r->insert(default_platform());  // the very pointer configs default to
     r->add(dragon_platform());
     r->add(compact_platform());
     return r;
@@ -249,22 +242,21 @@ PlatformRegistry& PlatformRegistry::instance() {
 }
 
 void PlatformRegistry::add(PlatformDescriptor descriptor) {
-  descriptor.validate();
+  insert(std::make_shared<const PlatformDescriptor>(std::move(descriptor)));
+}
+
+void PlatformRegistry::insert(PlatformPtr descriptor) {
+  descriptor->validate();
   // Beyond structural validation: the plant must have a stable coupled
   // leakage-temperature equilibrium at its gentlest operating point, or
   // every simulation (and the calibration furnace) on it would run away.
   // Inline descriptors in experiment configs deliberately skip this -- a
   // runaway-unstable platform is constructible for tests, just not
   // registrable by name.
-  analysis::validate_platform_stability(descriptor);
+  analysis::validate_platform_stability(*descriptor);
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::string name = descriptor.name;
-  const bool inserted =
-      entries_
-          .emplace(name, std::make_shared<const PlatformDescriptor>(
-                             std::move(descriptor)))
-          .second;
-  if (!inserted) {
+  const std::string name = descriptor->name;
+  if (!entries_.emplace(name, std::move(descriptor)).second) {
     throw std::invalid_argument("PlatformRegistry: duplicate platform '" +
                                 name + "'");
   }

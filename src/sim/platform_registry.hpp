@@ -4,7 +4,7 @@
 // platforms axis, or the `dtpm` CLI, without touching library code.
 //
 // Pre-registered platforms:
-//   odroid-xu-e  the paper's board (byte-identical to the legacy default)
+//   odroid-xu-e  the paper's board: the shared default_platform() pointer
 //   dragon       Tegra-X1-like 4+4 tablet: shared die plate, fanless SKU
 //   compact      fanless phone-class SoC with tight skin-temperature headroom
 //
@@ -51,6 +51,10 @@ class PlatformRegistry {
   PlatformPtr get(const std::string& name) const;
 
  private:
+  /// add() on an already-shared descriptor: the registry hands out this very
+  /// pointer (how "odroid-xu-e" becomes default_platform()).
+  void insert(PlatformPtr descriptor);
+
   mutable std::mutex mutex_;
   std::map<std::string, PlatformPtr> entries_;
 };
@@ -62,8 +66,8 @@ struct PlatformRegistration {
 };
 
 /// Builders of the built-in descriptors, exposed so tests can diff a
-/// registry entry against a freshly built one.
-PlatformDescriptor odroid_xu_e_platform();
+/// registry entry against a freshly built one. The Odroid needs none: it is
+/// a default-constructed PlatformDescriptor.
 PlatformDescriptor dragon_platform();
 PlatformDescriptor compact_platform();
 

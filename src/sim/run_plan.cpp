@@ -6,56 +6,22 @@
 
 namespace dtpm::sim {
 
-RunPlan::RunPlan(const thermal::FloorplanParams& params) {
-  PlatformPreset preset;
-  preset.floorplan = params;
-  cache_platform(std::make_shared<const PlatformDescriptor>(
-      descriptor_from_preset(preset)));
-}
-
 RunPlan::RunPlan(const std::vector<ExperimentConfig>& configs) {
-  std::vector<thermal::FloorplanParams> params_memo;
-  for (const ExperimentConfig& config : configs) absorb(config, params_memo);
-  if (floorplans_.empty()) {
-    cache_platform(std::make_shared<const PlatformDescriptor>(
-        descriptor_from_preset(PlatformPreset{})));
-  }
+  for (const ExperimentConfig& config : configs) absorb(config);
 }
 
 RunPlan::RunPlan(const std::vector<BatchJob>& jobs) {
-  std::vector<thermal::FloorplanParams> params_memo;
-  for (const BatchJob& job : jobs) absorb(job.config, params_memo);
-  if (floorplans_.empty()) {
-    cache_platform(std::make_shared<const PlatformDescriptor>(
-        descriptor_from_preset(PlatformPreset{})));
-  }
+  for (const BatchJob& job : jobs) absorb(job.config);
 }
 
-RunPlan::RunPlan(const ExperimentConfig& config)
-    : RunPlan(std::vector<ExperimentConfig>{config}) {}
+RunPlan::RunPlan(const ExperimentConfig& config) { absorb(config); }
 
-void RunPlan::absorb(const ExperimentConfig& config,
-                     std::vector<thermal::FloorplanParams>& params_memo) {
-  if (config.platform != nullptr) {
-    cache_platform(config.platform);
-  } else {
-    bool seen = false;
-    for (const thermal::FloorplanParams& params : params_memo) {
-      if (params == config.preset.floorplan) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      params_memo.push_back(config.preset.floorplan);
-      cache_platform(resolved_platform(config));
-    }
-  }
+void RunPlan::absorb(const ExperimentConfig& config) {
+  cache_platform(config.platform);
   cache_benchmark_for(config);
 }
 
 void RunPlan::cache_platform(const PlatformPtr& platform) {
-  if (platform == nullptr) return;
   for (const auto& [descriptor, floorplan] : floorplans_) {
     if (descriptor == platform) return;  // pointer-identity fast path
   }
@@ -70,13 +36,12 @@ void RunPlan::cache_benchmark_for(const ExperimentConfig& config) {
 
 const sysid::IdentifiedPlatformModel* RunPlan::cache_model_for(
     const ExperimentConfig& config) {
-  const PlatformPtr platform = resolved_platform(config);
   if (const sysid::IdentifiedPlatformModel* cached = model_for(config)) {
     return cached;
   }
   const sysid::IdentifiedPlatformModel* model =
-      &platform_calibration(platform).model;
-  models_.emplace_back(platform, model);
+      &platform_calibration(config.platform).model;
+  models_.emplace_back(config.platform, model);
   return model;
 }
 
@@ -98,16 +63,6 @@ const thermal::Floorplan* RunPlan::floorplan_for(
   return nullptr;
 }
 
-const thermal::Floorplan* RunPlan::floorplan_for(
-    const thermal::FloorplanParams& params) const {
-  for (const auto& [descriptor, floorplan] : floorplans_) {
-    if (descriptor->floorplan == thermal::default_floorplan_spec(params)) {
-      return &floorplan;
-    }
-  }
-  return nullptr;
-}
-
 const workload::Benchmark* RunPlan::benchmark_for(
     const std::string& name) const {
   const auto it = benchmarks_.find(name);
@@ -116,8 +71,7 @@ const workload::Benchmark* RunPlan::benchmark_for(
 
 const sysid::IdentifiedPlatformModel* RunPlan::model_for(
     const ExperimentConfig& config) const {
-  if (models_.empty()) return nullptr;
-  const PlatformPtr platform = resolved_platform(config);
+  const PlatformPtr& platform = config.platform;
   for (const auto& [descriptor, model] : models_) {
     if (descriptor == platform || *descriptor == *platform) return model;
   }

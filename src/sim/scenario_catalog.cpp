@@ -72,7 +72,8 @@ std::vector<ExperimentConfig> ScenarioCatalog::expand(
   const std::vector<std::string> families =
       sweep.families.empty() ? family_names() : sweep.families;
   const std::vector<std::string> policies =
-      merged_policy_axis(sweep.policies, sweep.policy_names, sweep.base);
+      sweep.policies.empty() ? std::vector<std::string>{sweep.base.policy_name}
+                             : sweep.policies;
   const std::vector<std::uint64_t> seeds =
       sweep.seeds.empty() ? std::vector<std::uint64_t>{sweep.base.seed}
                           : sweep.seeds;
@@ -80,7 +81,7 @@ std::vector<ExperimentConfig> ScenarioCatalog::expand(
   for (const std::string& name : sweep.platforms) {
     platforms.push_back(PlatformRegistry::instance().get(name));
   }
-  if (platforms.empty()) platforms.push_back(nullptr);  // inherit from base
+  if (platforms.empty()) platforms.push_back(sweep.base.platform);
 
   std::vector<ExperimentConfig> configs;
   configs.reserve(families.size() * seeds.size() * platforms.size() *
@@ -97,8 +98,8 @@ std::vector<ExperimentConfig> ScenarioCatalog::expand(
           ExperimentConfig config = sweep.base;
           config.benchmark = family + "#s" + std::to_string(seed);
           config.scenario = scenario;
-          if (platform != nullptr) set_platform(config, platform);
-          set_policy(config, policy);
+          if (!sweep.platforms.empty()) set_platform(config, platform);
+          config.policy_name = policy;
           config.seed = seed;
           configs.push_back(std::move(config));
         }

@@ -46,19 +46,18 @@ class ScenarioCatalog {
                            std::uint64_t seed) const;
 
   /// Expansion grid. Empty `families` means every registered family; empty
-  /// `policies` and `seeds` fall back to base.policy / base.seed (mirroring
-  /// sim::sweep, so a cleared dimension can never silently empty the grid).
+  /// `policies` and `seeds` fall back to base.policy_name / base.seed
+  /// (mirroring sim::sweep, so a cleared dimension can never silently empty
+  /// the grid).
   struct Sweep {
     ExperimentConfig base;  ///< template for every generated config
     std::vector<std::string> families;
     /// PlatformRegistry names; empty falls back to base's platform, so the
     /// catalog expands exactly as before the platform axis existed.
     std::vector<std::string> platforms;
-    std::vector<Policy> policies;
-    /// Registry-name policy axis, appended after `policies` (mapped onto
-    /// their registry names) -- user-registered policies sweep the catalog
+    /// PolicyRegistry names; user-registered policies sweep the catalog
     /// exactly like the built-ins.
-    std::vector<std::string> policy_names;
+    std::vector<std::string> policies;
     std::vector<std::uint64_t> seeds{1, 2, 3};
   };
 

@@ -12,6 +12,9 @@ namespace {
 
 const ExperimentConfig& validated(const ExperimentConfig& config,
                                   const sysid::IdentifiedPlatformModel* model) {
+  if (config.platform == nullptr) {
+    throw std::invalid_argument("Simulation: null platform descriptor");
+  }
   if (config.observe_predictions && model == nullptr) {
     throw std::invalid_argument(
         "Simulation: observe_predictions requires an identified model");
@@ -56,7 +59,7 @@ Simulation::Simulation(const ExperimentConfig& config,
                        std::unique_ptr<governors::ThermalPolicy> policy_override,
                        const RunPlan* plan, util::Rng&& root)
     : config_(validated(config, model)),
-      platform_(resolved_platform(config_)),
+      platform_(config_.platform),
       runaway_abort_temp_c_(platform_->resolved_runaway_abort_temp_c()),
       dt_s_(config_.control_interval_s),
       substeps_(std::max(1, int(std::lround(dt_s_ / config_.plant_substep_s)))),
@@ -69,7 +72,7 @@ Simulation::Simulation(const ExperimentConfig& config,
                                                  : background_params(bench_),
                   root.fork()),
       instance_(bench_),
-      control_(config_, model, std::move(policy_override), platform_.get()),
+      control_(config_, model, std::move(policy_override), *platform_),
       observer_(config_.observe_predictions
                     ? PredictionObserver(*model, config_.observe_horizon_steps)
                     : PredictionObserver()),

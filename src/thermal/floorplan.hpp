@@ -89,13 +89,6 @@ struct FloorplanParams {
   double board_initial_temp_c = 38.0;
 };
 
-/// Memberwise equality; lets a batch decide whether two presets can share
-/// one compiled floorplan template (sim::RunPlan).
-bool operator==(const FloorplanParams& a, const FloorplanParams& b);
-inline bool operator!=(const FloorplanParams& a, const FloorplanParams& b) {
-  return !(a == b);
-}
-
 // --- Data-driven floorplan description ---------------------------------------
 
 /// One named thermal node of a data-driven floorplan.

@@ -16,11 +16,11 @@
 namespace dtpm::sim {
 namespace {
 
-ExperimentConfig quick_config(const char* benchmark, Policy policy,
+ExperimentConfig quick_config(const char* benchmark, const std::string& policy,
                               std::uint64_t seed, Engine engine) {
   ExperimentConfig c;
   c.benchmark = benchmark;
-  c.policy = policy;
+  c.policy_name = policy;
   c.record_trace = false;
   c.seed = seed;
   c.engine = engine;
@@ -88,7 +88,7 @@ TEST(PlanLockstepGroups, AllScalarEnginesMeansNoGroups) {
 serve::FleetSpec short_fleet_spec() {
   serve::FleetSpec spec;
   spec.base.engine = Engine::kBatched;
-  spec.base.policy = Policy::kDefaultWithFan;
+  spec.base.policy_name = "default+fan";
   spec.base.warmup_s = 2.0;
   spec.base.max_sim_time_s = 20.0;
   spec.scenario_nominal_duration_s = 10.0;
@@ -114,8 +114,8 @@ TEST(PlanLockstepGroups, AmbientShiftedCopiesShareOneGroup) {
       {materializer.config_for(device_at(31.5, 2)), nullptr},
       {materializer.config_for(device_at(20.0, 3)), nullptr},
   };
-  const PlatformPtr cool = resolved_platform(jobs[0].config);
-  const PlatformPtr warm = resolved_platform(jobs[1].config);
+  const PlatformPtr cool = jobs[0].config.platform;
+  const PlatformPtr warm = jobs[1].config.platform;
   ASSERT_NE(*cool, *warm);
   EXPECT_NE(cool->floorplan.ambient_temp_c(), warm->floorplan.ambient_temp_c());
   EXPECT_TRUE(same_physics(*cool, *warm));
@@ -249,7 +249,7 @@ TEST(BatchPlantStepper, TracksTheScalarEngineTrajectory) {
   std::vector<std::unique_ptr<Simulation>> batched, scalar;
   for (int i = 0; i < kLanes; ++i) {
     const auto policy =
-        i == 1 ? Policy::kWithoutFan : Policy::kDefaultWithFan;
+        i == 1 ? "no-fan" : "default+fan";
     batched.push_back(std::make_unique<Simulation>(quick_config(
         "crc32", policy, 10 + std::uint64_t(i), Engine::kBatched)));
     scalar.push_back(std::make_unique<Simulation>(quick_config(
@@ -308,11 +308,11 @@ TEST(BatchedEngine, BatchRunnerGroupMatchesStandaloneRuns) {
   // reference single must stay bit-identical to its standalone run.
   std::vector<BatchJob> jobs;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, seed,
+    jobs.push_back({quick_config("crc32", "default+fan", seed,
                                  Engine::kBatched),
                     nullptr});
   }
-  jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, 7,
+  jobs.push_back({quick_config("crc32", "default+fan", 7,
                                Engine::kReferenceRk4),
                   nullptr});
 
@@ -403,7 +403,7 @@ TEST(BatchedEngine, ShardedTilesAreBitIdenticalToOneGroup) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     ExperimentConfig c = quick_config(
         "crc32",
-        seed % 2 ? Policy::kDefaultWithFan : Policy::kWithoutFan, seed,
+        seed % 2 ? "default+fan" : "no-fan", seed,
         Engine::kBatched);
     c.max_sim_time_s = 20.0;
     jobs.push_back({c, nullptr});
@@ -452,7 +452,7 @@ TEST(BatchPlantStepper, ScheduleMemoIsBitExact) {
   const std::uint64_t seeds[] = {21, 21, 22, 23};
   std::vector<std::unique_ptr<Simulation>> memo, ref;
   for (const std::uint64_t seed : seeds) {
-    ExperimentConfig c = quick_config("crc32", Policy::kDefaultWithFan, seed,
+    ExperimentConfig c = quick_config("crc32", "default+fan", seed,
                                       Engine::kBatched);
     c.max_sim_time_s = 20.0;
     memo.push_back(std::make_unique<Simulation>(c));
@@ -502,13 +502,13 @@ TEST(BatchedEngine, ConstructionErrorStaysInItsOwnLane) {
   // One lane of the group carries an unknown benchmark; the other lanes
   // must still produce their ordinary results.
   std::vector<BatchJob> jobs;
-  jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, 1,
+  jobs.push_back({quick_config("crc32", "default+fan", 1,
                                Engine::kBatched),
                   nullptr});
-  jobs.push_back({quick_config("no-such-benchmark", Policy::kDefaultWithFan,
+  jobs.push_back({quick_config("no-such-benchmark", "default+fan",
                                2, Engine::kBatched),
                   nullptr});
-  jobs.push_back({quick_config("crc32", Policy::kDefaultWithFan, 3,
+  jobs.push_back({quick_config("crc32", "default+fan", 3,
                                Engine::kBatched),
                   nullptr});
 

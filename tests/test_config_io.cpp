@@ -9,6 +9,7 @@
 #include <functional>
 #include <string>
 
+#include "sim/platform_registry.hpp"
 #include "sim/scenario_catalog.hpp"
 #include "workload/scenario.hpp"
 
@@ -38,16 +39,42 @@ TEST(ConfigIo, DefaultExperimentRoundTrips) {
   const ExperimentConfig config;
   const ExperimentConfig reparsed = experiment_from_json(to_json(config));
   expect_same_config(config, reparsed);
-  EXPECT_EQ(resolved_policy_name(reparsed), "default+fan");
+  EXPECT_EQ(reparsed.policy_name, "default+fan");
   EXPECT_EQ(reparsed.benchmark, "basicmath");
   EXPECT_EQ(reparsed.seed, 1u);
+}
+
+/// The default config names each concept once: the policy and governor by
+/// registry name, the platform as the registry's own odroid-xu-e pointer,
+/// which serializes as that name and parses back to the same pointer.
+TEST(ConfigIo, DefaultConfigIsTheRegistryOdroid) {
+  const ExperimentConfig config;
+  EXPECT_EQ(config.platform, PlatformRegistry::instance().get("odroid-xu-e"));
+  EXPECT_EQ(config.governor_name, "ondemand");
+  const util::JsonValue json = to_json(config);
+  ASSERT_NE(json.find("platform"), nullptr);
+  EXPECT_EQ(json.find("platform")->as_string(), "odroid-xu-e");
+  EXPECT_EQ(json.find("preset"), nullptr);
+  EXPECT_EQ(json_write(to_json(experiment_from_json(json))), json_write(json));
+  EXPECT_EQ(experiment_from_json(json).platform, config.platform);
+}
+
+/// The retired "preset" key still parses when it names the default plant.
+TEST(ConfigIo, RetiredDefaultPresetRunsOnTheDefaultPlatform) {
+  const ExperimentConfig config =
+      experiment_from_json(json_parse(R"({"preset": "default"})"));
+  EXPECT_EQ(config.platform, default_platform());
+  EXPECT_EQ(what_of([] {
+              experiment_from_json(json_parse(R"({"preset": "dragon"})"));
+            }),
+            "$.preset: unknown preset 'dragon': the 'preset' key is retired; "
+            "select the plant with \"platform\"");
 }
 
 TEST(ConfigIo, ModifiedExperimentRoundTrips) {
   ExperimentConfig config;
   config.benchmark = "templerun";
   config.policy_name = "reactive";
-  config.policy = Policy::kReactive;
   config.policy_params = {{"trip_c", 61.5}, {"hysteresis_c", 4.0}};
   config.dtpm.t_max_c = 70.0;
   config.dtpm.horizon_steps = 20;
@@ -65,7 +92,7 @@ TEST(ConfigIo, ModifiedExperimentRoundTrips) {
 
   const ExperimentConfig reparsed = experiment_from_json(to_json(config));
   expect_same_config(config, reparsed);
-  EXPECT_EQ(reparsed.policy, Policy::kReactive);  // enum shim kept in sync
+  EXPECT_EQ(reparsed.policy_name, "reactive");
   EXPECT_DOUBLE_EQ(reparsed.policy_params.at("trip_c"), 61.5);
   EXPECT_EQ(reparsed.dtpm.row_policy, core::BudgetRowPolicy::kAllHotspots);
   EXPECT_EQ(reparsed.engine, Engine::kBatched);
@@ -237,8 +264,7 @@ TEST(ConfigIo, SweepGridRoundTripsAndExpands) {
   const std::vector<ExperimentConfig> configs = reparsed.expand();
   ASSERT_EQ(configs.size(), 2u * 2u * 2u * 3u);
   EXPECT_EQ(configs[0].benchmark, "crc32");
-  EXPECT_EQ(resolved_policy_name(configs[0]), "no-fan");
-  EXPECT_EQ(configs[0].policy, Policy::kWithoutFan);  // shim synced
+  EXPECT_EQ(configs[0].policy_name, "no-fan");
   EXPECT_FALSE(configs[0].record_trace);              // base inherited
 }
 
@@ -253,7 +279,7 @@ TEST(ConfigIo, ScenarioSelectionExpands) {
   ASSERT_EQ(configs.size(), 1u * 2u * 2u);
   EXPECT_EQ(configs[0].benchmark, "bursty#s1");
   ASSERT_NE(configs[0].scenario, nullptr);
-  EXPECT_EQ(resolved_policy_name(configs[1]), "reactive");
+  EXPECT_EQ(configs[1].policy_name, "reactive");
 
   const SweepSpec reparsed = sweep_from_json(to_json(spec));
   EXPECT_EQ(json_write(to_json(spec)), json_write(to_json(reparsed)));
@@ -299,7 +325,7 @@ TEST(ConfigIo, LoadFromFileAndSweepHint) {
   }
   const ExperimentConfig config = load_experiment_config(config_path);
   EXPECT_EQ(config.benchmark, "crc32");
-  EXPECT_EQ(resolved_policy_name(config), "no-fan");
+  EXPECT_EQ(config.policy_name, "no-fan");
   EXPECT_DOUBLE_EQ(config.max_sim_time_s, 60.0);
 
   const std::string sweep_path = ::testing::TempDir() + "grid.json";

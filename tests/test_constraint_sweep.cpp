@@ -4,6 +4,8 @@
 // These parameterized tests assert that regulation holds across both.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/calibration.hpp"
 #include "sim/engine.hpp"
 
@@ -18,7 +20,7 @@ RunResult run_with(const core::DtpmParams& params,
                    const std::string& benchmark = "basicmath") {
   ExperimentConfig c;
   c.benchmark = benchmark;
-  c.policy = Policy::kProposedDtpm;
+  c.policy_name = "dtpm";
   c.record_trace = false;
   c.dtpm = params;
   return run_experiment(c, &model());
@@ -90,9 +92,11 @@ class SensorNoiseSweep : public ::testing::TestWithParam<double> {};
 TEST_P(SensorNoiseSweep, RegulationSurvivesNoisySensors) {
   ExperimentConfig c;
   c.benchmark = "basicmath";
-  c.policy = Policy::kProposedDtpm;
+  c.policy_name = "dtpm";
   c.record_trace = false;
-  c.preset.temp_sensor.noise_stddev_c = GetParam();
+  PlatformDescriptor platform;
+  platform.temp_sensor.noise_stddev_c = GetParam();
+  set_platform(c, std::make_shared<const PlatformDescriptor>(platform));
   const RunResult r = run_experiment(c, &model());
   EXPECT_TRUE(r.completed);
   // Allow the noise floor itself on top of the constraint.
@@ -106,9 +110,11 @@ INSTANTIATE_TEST_SUITE_P(NoiseLevels, SensorNoiseSweep,
 TEST(SensorRobustness, CoarseQuantizationStillRegulates) {
   ExperimentConfig c;
   c.benchmark = "fft";
-  c.policy = Policy::kProposedDtpm;
+  c.policy_name = "dtpm";
   c.record_trace = false;
-  c.preset.temp_sensor.quantization_c = 1.0;  // a 1 C TMU
+  PlatformDescriptor platform;
+  platform.temp_sensor.quantization_c = 1.0;  // a 1 C TMU
+  set_platform(c, std::make_shared<const PlatformDescriptor>(platform));
   const RunResult r = run_experiment(c, &model());
   EXPECT_TRUE(r.completed);
   EXPECT_LE(r.max_temp_stats.max(), 64.5);
@@ -123,9 +129,13 @@ TEST_P(AmbientSweep, RegulatesAcrossAmbientTemperatures) {
   // reference makes moderate shifts tolerable for closed-loop regulation.
   ExperimentConfig c;
   c.benchmark = "basicmath";
-  c.policy = Policy::kProposedDtpm;
+  c.policy_name = "dtpm";
   c.record_trace = false;
-  c.preset.floorplan.ambient_temp_c = GetParam();
+  thermal::FloorplanParams params;
+  params.ambient_temp_c = GetParam();
+  PlatformDescriptor platform;
+  platform.floorplan = thermal::default_floorplan_spec(params);
+  set_platform(c, std::make_shared<const PlatformDescriptor>(platform));
   const RunResult r = run_experiment(c, &model());
   EXPECT_TRUE(r.completed);
   EXPECT_LE(r.max_temp_stats.max(), 64.5) << GetParam();

@@ -34,8 +34,8 @@ std::vector<double> valid_row(double t, const ExperimentConfig& config) {
   row[column("p_gpu_w")] = 0.5;
   row[column("p_mem_w")] = 0.3;
   row[column("p_platform_w")] = 2.0 + 0.2 + 0.5 + 0.3 +
-                                config.preset.platform_load.board_base_w +
-                                config.preset.platform_load.display_w;
+                                config.platform->platform_load.board_base_w +
+                                config.platform->platform_load.display_w;
   row[column("f_big_mhz")] = 1600.0;
   row[column("f_little_mhz")] = 1200.0;
   row[column("f_gpu_mhz")] = 533.0;
@@ -105,7 +105,7 @@ TEST_F(InvariantCheckerTest, SyntheticCleanTracePasses) {
 TEST_F(InvariantCheckerTest, RealRunPasses) {
   ExperimentConfig config;
   config.benchmark = "crc32";
-  config.policy = Policy::kDefaultWithFan;
+  config.policy_name = "default+fan";
   const RunResult result = run_experiment(config);
   ASSERT_TRUE(result.trace.has_value());
   const auto found = checker_.check(config, result);
@@ -189,7 +189,7 @@ TEST_F(InvariantCheckerTest, FlagsInconsistentAggregates) {
 
 TEST_F(InvariantCheckerTest, DtpmMustActOnSustainedPredictedViolation) {
   ExperimentConfig config;
-  config.policy = Policy::kProposedDtpm;
+  config.policy_name = "dtpm";
 
   // Predicted violation for well over the grace window while the trace
   // shows the platform pinned at the unrestricted maximum: broken governor.

@@ -142,6 +142,12 @@ TEST(LintCorpus, EmptyAxes) { expect_matches_golden("empty_axes.json"); }
 TEST(LintCorpus, TraceBlowup) { expect_matches_golden("trace_blowup.json"); }
 TEST(LintCorpus, FleetBad) { expect_matches_golden("fleet_bad.json"); }
 TEST(LintCorpus, FleetHot) { expect_matches_golden("fleet_hot.json"); }
+TEST(LintCorpus, RetiredPreset) {
+  expect_matches_golden("retired_preset.json");
+}
+TEST(LintCorpus, RetiredPresetUnknown) {
+  expect_matches_golden("retired_preset_unknown.json");
+}
 
 /// The headline acceptance: one invocation over one broken file surfaces
 /// every problem -- four distinct codes here -- instead of stopping at the

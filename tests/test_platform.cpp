@@ -1,7 +1,5 @@
-// The data-driven platform layer: descriptor <-> preset shim identity, the
-// registry, spec-built floorplans, and THE acceptance pin of the redesign --
-// a plant built from the odroid-xu-e descriptor reproduces the legacy
-// enum-addressed default plant bit for bit.
+// The data-driven platform layer: the default descriptor's identity, the
+// registry, spec-built floorplans, and per-platform RunPlan caches.
 #include "sim/platform.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +13,6 @@
 #include "sim/calibration.hpp"
 #include "sim/engine.hpp"
 #include "sim/platform_registry.hpp"
-#include "sim/preset.hpp"
 #include "sim/run_plan.hpp"
 #include "thermal/floorplan.hpp"
 
@@ -41,21 +38,11 @@ TEST(PlatformDescriptor, DefaultIsTheOdroid) {
   EXPECT_TRUE(d.has_fan());
   EXPECT_EQ(d.big_cores, soc::kBigCoreCount);
   EXPECT_NO_THROW(d.validate());
-  // The descriptor synthesized from the legacy preset IS the default one.
-  EXPECT_TRUE(sim::descriptor_from_preset(sim::default_preset()) == d);
-  // And the registry's odroid entry matches both.
+  // The registry's odroid entry is the shared default every config starts
+  // from.
   EXPECT_TRUE(*sim::PlatformRegistry::instance().get("odroid-xu-e") == d);
-}
-
-TEST(PlatformDescriptor, PresetShimRoundTrip) {
-  const sim::PlatformDescriptor dragon = sim::dragon_platform();
-  const sim::PlatformPreset preset = sim::preset_from_descriptor(dragon);
-  // Scalar parameters mirror the descriptor for legacy readers.
-  EXPECT_EQ(preset.platform_load.display_w, dragon.platform_load.display_w);
-  EXPECT_TRUE(preset.fan == dragon.fan);
-  EXPECT_TRUE(preset.plant == dragon.power);
-  EXPECT_EQ(preset.floorplan.ambient_temp_c,
-            dragon.floorplan.ambient_temp_c());
+  EXPECT_EQ(sim::PlatformRegistry::instance().get("odroid-xu-e"),
+            sim::default_platform());
 }
 
 TEST(Floorplan, SpecBuiltDefaultMatchesEnumLayout) {
@@ -80,21 +67,22 @@ TEST(Floorplan, SpecBuiltDefaultMatchesEnumLayout) {
   EXPECT_EQ(fp.fan_edge, fp.network.edge_count() - 1);
 }
 
-/// THE pin of the redesign: a run whose config selects the odroid-xu-e
-/// descriptor from the registry is bit-identical to the legacy path that
-/// builds the plant from default_preset().
-TEST(PlatformDescriptor, OdroidDescriptorRunMatchesLegacyDefaultRun) {
-  sim::ExperimentConfig legacy;
-  legacy.benchmark = "crc32";
-  sim::set_policy(legacy, "default+fan");
-  legacy.warmup_s = 2.0;
-  legacy.max_sim_time_s = 10.0;
-  legacy.seed = 11;
+/// The plant depends on the descriptor's value, not its identity: a run on a
+/// freshly built PlatformDescriptor{} is bit-identical to one on the shared
+/// default.
+TEST(PlatformDescriptor, FreshOdroidDescriptorRunMatchesDefaultRun) {
+  sim::ExperimentConfig shared;
+  shared.benchmark = "crc32";
+  shared.warmup_s = 2.0;
+  shared.max_sim_time_s = 10.0;
+  shared.seed = 11;
 
-  sim::ExperimentConfig descriptor_built = legacy;
-  sim::set_platform(descriptor_built, "odroid-xu-e");
+  sim::ExperimentConfig descriptor_built = shared;
+  sim::set_platform(descriptor_built,
+                    std::make_shared<const sim::PlatformDescriptor>());
+  ASSERT_NE(descriptor_built.platform, shared.platform);
 
-  const sim::RunResult a = sim::run_experiment(legacy);
+  const sim::RunResult a = sim::run_experiment(shared);
   const sim::RunResult b = sim::run_experiment(descriptor_built);
 
   ASSERT_TRUE(a.trace.has_value());
@@ -238,25 +226,13 @@ TEST(PlatformDescriptor, DragonAndCompactBuild) {
             sim::PlatformDescriptor{}.big_opp_table().max().frequency_hz);
 }
 
-TEST(PlatformDescriptor, SetPlatformSyncsShimAndConstraint) {
+TEST(PlatformDescriptor, SetPlatformAdoptsConstraint) {
   sim::ExperimentConfig config;
   sim::set_platform(config, "compact");
   ASSERT_NE(config.platform, nullptr);
-  EXPECT_EQ(sim::resolved_platform_name(config), "compact");
-  // The legacy preset mirror follows the descriptor...
-  EXPECT_EQ(config.preset.platform_load.display_w,
-            sim::compact_platform().platform_load.display_w);
-  // ...and the platform's recommended constraint is adopted.
+  EXPECT_EQ(config.platform->name, "compact");
+  // The platform's recommended constraint is adopted.
   EXPECT_DOUBLE_EQ(config.dtpm.t_max_c, 58.0);
-}
-
-TEST(PlatformDescriptor, ResolvedPlatformFallsBackToPreset) {
-  sim::ExperimentConfig config;
-  config.preset.temp_sensor.noise_stddev_c = 0.0;
-  const sim::PlatformPtr resolved = sim::resolved_platform(config);
-  ASSERT_NE(resolved, nullptr);
-  EXPECT_EQ(resolved->name, "odroid-xu-e");
-  EXPECT_EQ(resolved->temp_sensor.noise_stddev_c, 0.0);  // preset tweak kept
 }
 
 // --- RunPlan per-platform templates ------------------------------------------
@@ -271,7 +247,7 @@ TEST(RunPlan, CachesOneFloorplanTemplatePerPlatform) {
   const sim::RunPlan plan(
       std::vector<sim::ExperimentConfig>{odroid, dragon, compact, dragon});
   const thermal::Floorplan* fp_odroid =
-      plan.floorplan_for(*sim::resolved_platform(odroid));
+      plan.floorplan_for(*odroid.platform);
   const thermal::Floorplan* fp_dragon = plan.floorplan_for(*dragon.platform);
   const thermal::Floorplan* fp_compact = plan.floorplan_for(*compact.platform);
   ASSERT_NE(fp_odroid, nullptr);
@@ -279,16 +255,19 @@ TEST(RunPlan, CachesOneFloorplanTemplatePerPlatform) {
   ASSERT_NE(fp_compact, nullptr);
   EXPECT_NE(fp_odroid, fp_dragon);
   EXPECT_NE(fp_dragon, fp_compact);
-  // The legacy params-keyed lookup still resolves the default template.
-  EXPECT_EQ(plan.floorplan_for(thermal::FloorplanParams{}), fp_odroid);
-  thermal::FloorplanParams other;
-  other.big_core_capacitance *= 2.0;
+  // Lookup is by floorplan value: an equal fresh descriptor resolves the
+  // default template, a diverged floorplan resolves none.
+  EXPECT_EQ(plan.floorplan_for(sim::PlatformDescriptor{}), fp_odroid);
+  thermal::FloorplanParams params;
+  params.big_core_capacitance *= 2.0;
+  sim::PlatformDescriptor other;
+  other.floorplan = thermal::default_floorplan_spec(params);
   EXPECT_EQ(plan.floorplan_for(other), nullptr);
 }
 
 TEST(RunPlan, CachesOneModelPerPlatform) {
   sim::ExperimentConfig odroid_a;
-  sim::set_policy(odroid_a, "dtpm");
+  odroid_a.policy_name = "dtpm";
   sim::ExperimentConfig odroid_b = odroid_a;
   odroid_b.seed = 2;
 
@@ -308,7 +287,7 @@ TEST(RunPlan, CachesOneModelPerPlatform) {
 TEST(BatchRunner, CalibratesMissingModelsPerPlatform) {
   sim::ExperimentConfig config;
   config.benchmark = "crc32";
-  sim::set_policy(config, "dtpm");
+  config.policy_name = "dtpm";
   config.warmup_s = 1.0;
   config.max_sim_time_s = 5.0;
   config.record_trace = true;
@@ -335,7 +314,7 @@ TEST(RunPlan, TemplateReuseIsBitIdenticalOnDragon) {
   sim::ExperimentConfig config;
   sim::set_platform(config, "dragon");
   config.benchmark = "crc32";
-  sim::set_policy(config, "no-fan");
+  config.policy_name = "no-fan";
   config.warmup_s = 1.0;
   config.max_sim_time_s = 6.0;
 

@@ -29,13 +29,13 @@ TEST(PlatformInvariantSweep, AllFamiliesAllPaperPoliciesAllPlatforms) {
   sweep.base.max_sim_time_s = 8.0;
   sweep.base.record_trace = true;
   sweep.platforms = platforms;
-  sweep.policy_names = sim::paper_policy_names();
+  sweep.policies = sim::paper_policy_names();
   sweep.seeds = {1};
 
   const sim::ScenarioCatalog catalog = sim::ScenarioCatalog::standard();
   const std::vector<sim::ExperimentConfig> configs = catalog.expand(sweep);
   ASSERT_EQ(configs.size(),
-            catalog.size() * platforms.size() * sweep.policy_names.size());
+            catalog.size() * platforms.size() * sweep.policies.size());
 
   // One identified model per platform (the process-wide cache), shared by
   // every run on that platform -- exactly what the CLI does.
@@ -49,15 +49,15 @@ TEST(PlatformInvariantSweep, AllFamiliesAllPaperPoliciesAllPlatforms) {
   std::vector<sim::BatchJob> jobs;
   jobs.reserve(configs.size());
   for (const sim::ExperimentConfig& config : configs) {
-    jobs.push_back({config, models.at(sim::resolved_platform_name(config))});
+    jobs.push_back({config, models.at(config.platform->name)});
   }
 
   const sim::BatchOutcome outcome = sim::BatchRunner().run_collecting(jobs);
   const sim::InvariantChecker checker;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const std::string label = configs[i].benchmark + " / " +
-                              sim::resolved_policy_name(configs[i]) + " / " +
-                              sim::resolved_platform_name(configs[i]);
+                              configs[i].policy_name + " / " +
+                              configs[i].platform->name;
     if (outcome.errors[i]) {
       try {
         std::rethrow_exception(outcome.errors[i]);
@@ -84,7 +84,7 @@ TEST(PlatformInvariantSweep, PlatformsProduceDistinctPhysics) {
   sweep.base.record_trace = false;
   sweep.families = {"thermal-soak"};
   sweep.platforms = sim::PlatformRegistry::instance().names();
-  sweep.policy_names = {"no-fan"};
+  sweep.policies = {"no-fan"};
   sweep.seeds = {3};
 
   const std::vector<sim::ExperimentConfig> configs =

@@ -190,9 +190,9 @@ TEST(PlatformIo, SweepPlatformsAxisParsesAndExpands) {
   const std::vector<ExperimentConfig> configs = spec.expand();
   EXPECT_EQ(configs.size(), 3u * 2u * 2u);
   // Row-major: benchmark, then platform, then policy, then seed.
-  EXPECT_EQ(sim::resolved_platform_name(configs[0]), "odroid-xu-e");
-  EXPECT_EQ(sim::resolved_platform_name(configs[4]), "dragon");
-  EXPECT_EQ(sim::resolved_platform_name(configs[8]), "compact");
+  EXPECT_EQ(configs[0].platform->name, "odroid-xu-e");
+  EXPECT_EQ(configs[4].platform->name, "dragon");
+  EXPECT_EQ(configs[8].platform->name, "compact");
   // Each platform's runs adopt its constraint.
   EXPECT_DOUBLE_EQ(configs[0].dtpm.t_max_c, 63.0);
   EXPECT_DOUBLE_EQ(configs[4].dtpm.t_max_c, 70.0);
@@ -218,8 +218,8 @@ TEST(PlatformIo, ScenarioSweepTakesPlatformAxis) {
   })"));
   const std::vector<ExperimentConfig> configs = spec.expand();
   EXPECT_EQ(configs.size(), 2u * 1u * 2u);
-  EXPECT_EQ(sim::resolved_platform_name(configs[0]), "dragon");
-  EXPECT_EQ(sim::resolved_platform_name(configs[1]), "compact");
+  EXPECT_EQ(configs[0].platform->name, "dragon");
+  EXPECT_EQ(configs[1].platform->name, "compact");
 }
 
 }  // namespace

@@ -144,6 +144,19 @@ TEST(ServeProtocol, MalformedLineIsS001) {
   EXPECT_EQ(kCodeSyntax, error_code(*error));
 }
 
+/// A request line past the server's 1 MiB cap is discarded up to its
+/// newline with one S008 reply; the session goes on to answer the next line.
+TEST(ServeProtocol, OversizedLineIsS008AndSessionContinues) {
+  Server server(quiet_options());
+  const std::string oversized(std::size_t(1) << 21, 'x');
+  const Session session =
+      run_session(server, oversized + "\n" R"({"op":"status"})" "\n");
+  ASSERT_EQ(2u, session.replies.size());
+  EXPECT_EQ("error", reply_kind(session.replies[0]));
+  EXPECT_EQ(kCodeLineTooLong, error_code(session.replies[0]));
+  EXPECT_EQ("status", reply_kind(session.replies[1]));
+}
+
 TEST(ServeProtocol, UnknownOpIsS003WithSuggestion) {
   Server server(quiet_options());
   const Session session = run_session(server, R"({"op":"submot"})" "\n");
