@@ -55,9 +55,10 @@ struct LeakageCoeffs {
 ///
 /// The DIBL factor pow(Vdd/v_ref, e) depends only on the supply voltage,
 /// which changes at DVFS decisions (at most once per control interval) while
-/// current_a runs every plant substep for every rail -- so the factor is
-/// memoized per voltage. The cache returns the exact pow() result, so
-/// evaluation stays bit-identical to the uncached model.
+/// current_a runs every plant substep for every rail and coeffs_at every
+/// interval -- so both read one factor memoized per voltage. The cache
+/// returns the exact pow() result, so evaluation stays bit-identical to the
+/// uncached model.
 class LeakageModel {
  public:
   explicit LeakageModel(const LeakageParams& params = {}) : params_(params) {}
@@ -67,14 +68,7 @@ class LeakageModel {
   double current_a(double temp_c, double vdd_v) const {
     const double t_k = celsius_to_kelvin(temp_c);
     double subthreshold = params_.c1 * t_k * t_k * std::exp(params_.c2_k / t_k);
-    if (params_.dibl_exponent != 0.0 && params_.v_ref > 0.0) {
-      if (vdd_v != cached_vdd_v_) {
-        cached_vdd_v_ = vdd_v;
-        cached_dibl_factor_ =
-            std::pow(vdd_v / params_.v_ref, params_.dibl_exponent);
-      }
-      subthreshold *= cached_dibl_factor_;
-    }
+    if (scales_with_vdd()) subthreshold *= dibl_factor(vdd_v);
     return subthreshold + params_.i_gate_a;
   }
 
@@ -85,10 +79,7 @@ class LeakageModel {
 
   /// Coefficient form of this model at a fixed supply (see LeakageCoeffs).
   LeakageCoeffs coeffs_at(double vdd_v) const {
-    double dibl = 1.0;
-    if (params_.dibl_exponent != 0.0 && params_.v_ref > 0.0) {
-      dibl = std::pow(vdd_v / params_.v_ref, params_.dibl_exponent);
-    }
+    const double dibl = scales_with_vdd() ? dibl_factor(vdd_v) : 1.0;
     return {vdd_v * params_.c1 * dibl, params_.c2_k,
             vdd_v * params_.i_gate_a};
   }
@@ -96,6 +87,19 @@ class LeakageModel {
   const LeakageParams& params() const { return params_; }
 
  private:
+  bool scales_with_vdd() const {
+    return params_.dibl_exponent != 0.0 && params_.v_ref > 0.0;
+  }
+
+  double dibl_factor(double vdd_v) const {
+    if (vdd_v != cached_vdd_v_) {
+      cached_vdd_v_ = vdd_v;
+      cached_dibl_factor_ =
+          std::pow(vdd_v / params_.v_ref, params_.dibl_exponent);
+    }
+    return cached_dibl_factor_;
+  }
+
   LeakageParams params_;
   /// Memoized pow(vdd/v_ref, dibl_exponent) for the last-seen vdd.
   mutable double cached_vdd_v_ = -1.0;

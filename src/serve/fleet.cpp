@@ -126,29 +126,38 @@ long ambient_bin(double ambient_c) {
 
 }  // namespace
 
-std::vector<DeviceProfile> sample_fleet(const FleetSpec& spec) {
+FleetSampler::FleetSampler(const FleetSpec& spec)
+    : ambient_c_(spec.ambient_c),
+      background_duty_(spec.background_duty),
+      rng_(spec.seed) {
   validate_distributions(spec);
-  const std::vector<FleetWeight> platforms = effective_platforms(spec);
-  const std::vector<FleetWeight> families = effective_families(spec);
-  const double platform_total = total_weight(platforms);
-  const double family_total = total_weight(families);
+  platforms_ = effective_platforms(spec);
+  families_ = effective_families(spec);
+  platform_total_ = total_weight(platforms_);
+  family_total_ = total_weight(families_);
+}
 
-  util::Rng rng(spec.seed);
+const DeviceProfile& FleetSampler::next() {
+  // Fixed draw order per device -- platform, family, ambient, duty, seed --
+  // so the profile is a pure function of (spec fields, spec.seed, index).
+  device_.index = next_index_++;
+  device_.platform =
+      pick_weighted(platforms_, rng_.uniform(0.0, platform_total_));
+  device_.family = pick_weighted(families_, rng_.uniform(0.0, family_total_));
+  device_.ambient_c = quantize_ambient(
+      rng_.uniform(ambient_c_.lo, ambient_c_.hi), ambient_c_);
+  device_.background_duty =
+      rng_.uniform(background_duty_.lo, background_duty_.hi);
+  device_.seed = rng_.engine()();
+  return device_;
+}
+
+std::vector<DeviceProfile> sample_fleet(const FleetSpec& spec) {
+  FleetSampler sampler(spec);
   std::vector<DeviceProfile> profiles;
   profiles.reserve(std::size_t(spec.device_count));
   for (std::uint64_t i = 0; i < spec.device_count; ++i) {
-    // Fixed draw order per device -- platform, family, ambient, duty, seed --
-    // so the profile list is a pure function of (spec fields, spec.seed).
-    DeviceProfile device;
-    device.index = i;
-    device.platform = pick_weighted(platforms, rng.uniform(0.0, platform_total));
-    device.family = pick_weighted(families, rng.uniform(0.0, family_total));
-    device.ambient_c = quantize_ambient(
-        rng.uniform(spec.ambient_c.lo, spec.ambient_c.hi), spec.ambient_c);
-    device.background_duty =
-        rng.uniform(spec.background_duty.lo, spec.background_duty.hi);
-    device.seed = rng.engine()();
-    profiles.push_back(std::move(device));
+    profiles.push_back(sampler.next());
   }
   return profiles;
 }
@@ -235,14 +244,14 @@ sim::ExperimentConfig FleetMaterializer::config_for(
 
 FleetRunResult run_fleet(const FleetSpec& spec,
                          const FleetRunOptions& options) {
-  const std::vector<DeviceProfile> profiles = sample_fleet(spec);
+  FleetSampler sampler(spec);
   FleetMaterializer materializer(spec);
   sim::BatchRunner runner(options.workers);
   // The plan grows wave to wave (single-threaded between run() calls) and is
-  // shared read-only by every wave's workers: each distinct (platform,
-  // ambient bin) descriptor compiles its floorplan template exactly once for
-  // the whole fleet -- or once for the server's lifetime when the caller
-  // hands in its warm per-executor plan. Models travel on the jobs
+  // shared read-only by every wave's workers: each distinct platform physics
+  // compiles its floorplan template exactly once for the whole fleet,
+  // whatever the ambient bins -- or once for the server's lifetime when the
+  // caller hands in its warm per-executor plan. Models travel on the jobs
   // themselves (model_for), so the plan never calibrates.
   std::unique_ptr<sim::RunPlan> local_plan;
   if (options.plan == nullptr) {
@@ -251,19 +260,20 @@ FleetRunResult run_fleet(const FleetSpec& spec,
   sim::RunPlan& plan = options.plan != nullptr ? *options.plan : *local_plan;
 
   FleetRunResult out;
-  const std::uint64_t total = profiles.size();
+  const std::uint64_t total = spec.device_count;
   std::vector<sim::BatchJob> jobs;
+  jobs.reserve(std::size_t(std::min(total, spec.wave_size)));
   for (std::uint64_t start = 0; start < total;
        start += spec.wave_size) {
     if (options.should_stop && options.should_stop()) {
       out.stopped_early = true;
       break;
     }
+    // Sample this wave only: memory stays O(wave_size), not O(device_count).
     const std::uint64_t end = std::min(total, start + spec.wave_size);
     jobs.clear();
-    jobs.reserve(std::size_t(end - start));
     for (std::uint64_t i = start; i < end; ++i) {
-      const DeviceProfile& device = profiles[std::size_t(i)];
+      const DeviceProfile& device = sampler.next();
       sim::BatchJob job;
       job.config = materializer.config_for(device);
       job.model = materializer.model_for(device.platform);

@@ -4,11 +4,12 @@
 // no per-run traces, so a 100k-device fleet is a memory-flat streaming
 // computation whose aggregates are reproducible from the spec's seed.
 //
-// Reproducibility: sample_fleet is a pure function of the spec (one
-// util::Rng stream, consumed device by device in a fixed draw order), and
-// run_fleet folds wave results in input order through the BatchRunner's
-// bit-identical-to-serial contract -- so the aggregate JSON is identical
-// across worker counts and across server restarts.
+// Reproducibility: the sampled fleet is a pure function of the spec (one
+// util::Rng stream, consumed device by device in a fixed draw order, drawn
+// a wave at a time), and run_fleet folds wave results in input order
+// through the BatchRunner's bit-identical-to-serial contract -- so the
+// aggregate JSON is identical across worker counts and across server
+// restarts.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +23,7 @@
 #include "serve/aggregator.hpp"
 #include "sim/config.hpp"
 #include "sim/scenario_catalog.hpp"
+#include "util/rng.hpp"
 
 namespace dtpm::sim {
 class RunPlan;
@@ -78,8 +80,8 @@ struct FleetSpec {
   bool retain_traces = false;
 };
 
-/// One sampled device, small enough to hold 100k of: configs are
-/// materialized per wave, not up front.
+/// One sampled device. run_fleet turns each into its config as it is
+/// drawn, so a fleet never holds more than one wave of configs.
 struct DeviceProfile {
   std::uint64_t index = 0;
   std::string platform;
@@ -89,9 +91,35 @@ struct DeviceProfile {
   std::uint64_t seed = 0;
 };
 
-/// Samples every device profile deterministically from spec.seed. Throws
-/// std::invalid_argument on degenerate distributions (run_fleet lints
+/// Draws device profiles one at a time, in index order, from one util::Rng
+/// seeded with spec.seed. Each device consumes a fixed draw order --
+/// platform, family, ambient, duty, seed -- so profile i is a pure function
+/// of (spec fields, spec.seed, i) however the draws are batched into waves.
+/// Throws std::invalid_argument on degenerate distributions (run_fleet lints
 /// first, so server-submitted specs fail with diagnostics instead).
+class FleetSampler {
+ public:
+  explicit FleetSampler(const FleetSpec& spec);
+
+  /// The next device. The reference stays valid until the next call, which
+  /// overwrites it in place: drawing allocates nothing once the name strings
+  /// have grown to the longest names.
+  const DeviceProfile& next();
+
+ private:
+  std::vector<FleetWeight> platforms_;
+  std::vector<FleetWeight> families_;
+  double platform_total_ = 0.0;
+  double family_total_ = 0.0;
+  FleetRange ambient_c_;
+  FleetRange background_duty_;
+  util::Rng rng_;
+  DeviceProfile device_;
+  std::uint64_t next_index_ = 0;
+};
+
+/// Every device profile of the fleet at once: device_count draws of a
+/// FleetSampler. run_fleet never calls this; it draws per wave.
 std::vector<DeviceProfile> sample_fleet(const FleetSpec& spec);
 
 /// Turns profiles into runnable configs, caching the expensive per-device

@@ -30,6 +30,11 @@ Plant::Plant(const PlatformDescriptor& platform, util::Rng& root,
         "Plant: platform '" + platform.name + "' must declare exactly " +
         std::to_string(soc::kBigCoreCount) + " core nodes");
   }
+  // A shared template may carry another descriptor's initial temperatures
+  // (RunPlan keys templates on physics alone): start from this platform's.
+  if (floorplan_template != nullptr) {
+    floorplan_.adopt_initial_temps(platform.floorplan);
+  }
   // Warm-start at the low end; ondemand ramps up from here.
   soc::SocConfig initial;
   initial.active_cluster = soc::ClusterId::kBig;

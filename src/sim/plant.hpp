@@ -41,7 +41,9 @@ struct PlantIntervalResult {
 /// When `floorplan_template` is non-null it is copied instead of rebuilding
 /// (validating + compiling) the network from the descriptor -- the RunPlan
 /// hoist for batches that share one platform across many runs. The template
-/// must have been built from `platform.floorplan`.
+/// must have `platform.floorplan`'s physics (thermal::same_physics); the
+/// plant then starts at its own descriptor's initial node and boundary
+/// temperatures, whatever the template's were.
 class Plant {
  public:
   /// `engine` selects the thermal integrator advance() runs

@@ -22,12 +22,8 @@ void RunPlan::absorb(const ExperimentConfig& config) {
 }
 
 void RunPlan::cache_platform(const PlatformPtr& platform) {
-  for (const auto& [descriptor, floorplan] : floorplans_) {
-    if (descriptor == platform) return;  // pointer-identity fast path
-  }
   if (floorplan_for(*platform) != nullptr) return;
-  floorplans_.emplace_back(platform,
-                           thermal::build_floorplan(platform->floorplan));
+  floorplans_.push_back(thermal::build_floorplan(platform->floorplan));
 }
 
 void RunPlan::cache_benchmark_for(const ExperimentConfig& config) {
@@ -57,8 +53,10 @@ void RunPlan::cache_benchmark(const std::string& name) {
 
 const thermal::Floorplan* RunPlan::floorplan_for(
     const PlatformDescriptor& platform) const {
-  for (const auto& [descriptor, floorplan] : floorplans_) {
-    if (descriptor->floorplan == platform.floorplan) return &floorplan;
+  for (const thermal::Floorplan& floorplan : floorplans_) {
+    if (thermal::same_physics(floorplan.spec, platform.floorplan)) {
+      return &floorplan;
+    }
   }
   return nullptr;
 }

@@ -3,9 +3,12 @@
 // sharing a handful of platforms and identified models; RunPlan hoists the
 // work that is identical across those runs out of the per-run constructor:
 //
-//   * floorplan templates: one per distinct platform in the batch, built
-//     (validated + compiled) once and copied into each Plant instead of
-//     re-running build_floorplan per run,
+//   * floorplan templates: one per distinct floorplan physics in the batch
+//     (thermal::same_physics), built (validated + compiled) once and copied
+//     into each Plant instead of re-running build_floorplan per run. The
+//     initial temperatures are not part of the key: the Plant writes its own
+//     descriptor's over the copy, so a fleet's ambient-shifted copies of one
+//     platform share one template,
 //   * benchmark resolution: suite names resolved to Benchmark pointers once
 //     per distinct name instead of once per run,
 //   * per-platform calibration: the identified model of every platform that
@@ -36,7 +39,7 @@ struct BatchJob;
 class RunPlan {
  public:
   /// Builds the invariants for a batch of `configs`: one floorplan template
-  /// per distinct platform and a name -> Benchmark cache for every distinct
+  /// per distinct physics and a name -> Benchmark cache for every distinct
   /// suite benchmark. Unknown benchmark names are left uncached so the
   /// per-run resolution still throws inside the owning job's slot.
   explicit RunPlan(const std::vector<ExperimentConfig>& configs);
@@ -53,8 +56,8 @@ class RunPlan {
   /// before sharing the plan across workers.
   void cache_benchmark_for(const ExperimentConfig& config);
 
-  /// Adds a floorplan template for `platform` if none matches yet. Not
-  /// thread-safe (construction-time only).
+  /// Adds a floorplan template for `platform` unless one with the same
+  /// physics is cached. Not thread-safe (construction-time only).
   void cache_platform(const PlatformPtr& platform);
 
   /// Calibrates (through the process-wide per-platform cache) the
@@ -63,10 +66,14 @@ class RunPlan {
   const sysid::IdentifiedPlatformModel* cache_model_for(
       const ExperimentConfig& config);
 
-  /// The floorplan template whose spec matches `platform`, else null
-  /// (caller builds from its own descriptor).
+  /// The floorplan template whose physics (thermal::same_physics) matches
+  /// `platform`'s floorplan, else null (caller builds from its own
+  /// descriptor). Its initial temperatures may be another descriptor's.
   const thermal::Floorplan* floorplan_for(
       const PlatformDescriptor& platform) const;
+
+  /// Compiled floorplan templates held (one per distinct physics cached).
+  std::size_t floorplan_count() const { return floorplans_.size(); }
 
   /// The pre-resolved suite benchmark for `name`, else null (caller resolves
   /// -- and reports errors -- itself). Inline scenarios never consult this.
@@ -82,8 +89,9 @@ class RunPlan {
   /// platform template and suite benchmark.
   void absorb(const ExperimentConfig& config);
 
-  /// (descriptor, compiled template) per distinct platform in the batch.
-  std::vector<std::pair<PlatformPtr, thermal::Floorplan>> floorplans_;
+  /// One compiled template per distinct physics; each carries the spec it
+  /// was built from, so the plan keeps no descriptor alive for it.
+  std::vector<thermal::Floorplan> floorplans_;
   std::unordered_map<std::string, const workload::Benchmark*> benchmarks_;
   /// (descriptor, identified model) per distinct calibrated platform --
   /// keyed by descriptor identity, never by name alone, so two different

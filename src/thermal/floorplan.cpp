@@ -185,6 +185,14 @@ Floorplan build_floorplan(const FloorplanSpec& spec) {
                    std::move(sensor_index)};
 }
 
+void Floorplan::adopt_initial_temps(const FloorplanSpec& from) {
+  for (std::size_t i = 0; i < from.nodes.size(); ++i) {
+    const double t = from.nodes[i].initial_temp_c;
+    spec.nodes[i].initial_temp_c = t;
+    network.set_temperature_c(i, t);
+  }
+}
+
 void Floorplan::assemble_node_power_into(
     const std::array<double, 4>& big_core_power_w,
     const power::ResourceVector& rail_power_w,

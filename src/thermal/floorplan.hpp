@@ -143,9 +143,9 @@ bool operator==(const FloorplanEdgeSpec& a, const FloorplanEdgeSpec& b);
 bool same_physics(const FloorplanSpec& a, const FloorplanSpec& b);
 /// Node-by-node equality of initial temperatures.
 bool same_initial_temps(const FloorplanSpec& a, const FloorplanSpec& b);
-/// Memberwise equality: same_physics() plus same_initial_temps() -- the
-/// sharing key for compiled floorplan templates (sim::RunPlan) now that
-/// topology itself is data.
+/// Memberwise equality: same_physics() plus same_initial_temps(). The
+/// sharing key for compiled floorplan templates (sim::RunPlan) is
+/// same_physics() alone; Floorplan::adopt_initial_temps() supplies the rest.
 bool operator==(const FloorplanSpec& a, const FloorplanSpec& b);
 inline bool operator!=(const FloorplanSpec& a, const FloorplanSpec& b) {
   return !(a == b);
@@ -171,6 +171,12 @@ struct Floorplan {
   std::vector<std::size_t> sensor_node_index;
 
   bool has_fan_edge() const { return fan_edge != kNoFanEdge; }
+
+  /// Restarts the network, and this spec copy, at `from`'s initial node and
+  /// boundary temperatures. `from` must be same_physics() as `spec`: one
+  /// compiled floorplan then serves every descriptor that differs only in
+  /// where its nodes start.
+  void adopt_initial_temps(const FloorplanSpec& from);
 
   /// Maps the SoC's power draws onto this floorplan's heat-injection nodes
   /// through the role indices: each big core heats its own core node and the

@@ -1,6 +1,7 @@
 // Deterministic random number generation for reproducible simulations.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -71,6 +72,24 @@ class Mt19937_64 {
   std::size_t index_ = kN;
 };
 
+/// The double nearest to `w`, rounded once: both 32-bit halves convert
+/// exactly through the signed conversion and their sum rounds once. Equal
+/// to double(w), without the branch on w's (random) top bit that an
+/// unsigned conversion costs on generic x86-64.
+inline double word_to_double(std::uint64_t w) {
+  return double(std::int64_t(w >> 32)) * 4294967296.0 +  // 2^32
+         double(std::int64_t(w & 0xffffffffULL));
+}
+
+/// std::generate_canonical<double, 53> of one 64-bit engine word: the word
+/// scaled into [0, 1), clamped below 1 exactly as libstdc++ does when the
+/// word rounds up to 2^64.
+inline double canonical_from_word(std::uint64_t w) {
+  constexpr double kTwo64 = 18446744073709551616.0;  // 2^64
+  constexpr double kBelowOne = 1.0 - 0x1p-53;  // nextafter(1.0, 0.0)
+  return std::min(word_to_double(w) / kTwo64, kBelowOne);
+}
+
 /// Thin wrapper over a Mt19937_64 (word-identical to std::mt19937_64) with
 /// convenience draws. Every stochastic component in the library takes an
 /// explicit Rng (or a seed) so that whole experiments replay bit-identically;
@@ -89,9 +108,10 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed5eedULL) : engine_(seed) {}
 
-  /// Uniform double in [lo, hi).
+  /// Uniform double in [lo, hi): libstdc++'s
+  /// std::uniform_real_distribution<double> formula, operation for operation.
   double uniform(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return canonical() * (hi - lo) + lo;
   }
 
   /// Gaussian with the given mean and standard deviation. stddev <= 0
@@ -127,10 +147,9 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Bernoulli draw with probability p of true.
-  bool bernoulli(double p) {
-    return std::bernoulli_distribution(p)(engine_);
-  }
+  /// Bernoulli draw with probability p of true (std::bernoulli_distribution's
+  /// one-word comparison).
+  bool bernoulli(double p) { return canonical() < p; }
 
   /// Derives an independent child stream; used to give each subsystem its own
   /// stream so adding draws to one does not perturb another.
@@ -139,15 +158,8 @@ class Rng {
   Mt19937_64& engine() { return engine_; }
 
  private:
-  /// One draw of std::generate_canonical<double, 53>(engine_): a single
-  /// engine word scaled into [0, 1), clamped below 1 exactly as libstdc++
-  /// does when the word rounds up to 2^64.
-  double canonical() {
-    constexpr double kTwo64 = 18446744073709551616.0;  // 2^64
-    double ret = double(engine_()) / kTwo64;
-    if (ret >= 1.0) ret = std::nextafter(1.0, 0.0);
-    return ret;
-  }
+  /// One draw of std::generate_canonical<double, 53>(engine_).
+  double canonical() { return canonical_from_word(engine_()); }
 
   /// Marsaglia polar rejection core, operation for operation the libstdc++
   /// std::normal_distribution one (bits/random.tcc), so the engine stream

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <set>
 #include <stdexcept>
@@ -19,8 +20,11 @@
 #include "sim/batch.hpp"
 #include "sim/config_io.hpp"
 #include "sim/platform_registry.hpp"
+#include "sim/engine.hpp"
 #include "sim/run_plan.hpp"
+#include "thermal/floorplan.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
 #ifndef DTPM_CONFIG_DIR
@@ -64,6 +68,40 @@ TEST(SampleFleet, DeterministicFromSeed) {
     EXPECT_EQ(a[i].ambient_c, b[i].ambient_c);
     EXPECT_EQ(a[i].background_duty, b[i].background_duty);
     EXPECT_EQ(a[i].seed, b[i].seed);
+  }
+}
+
+TEST(SampleFleet, DrawOrderIsPlatformFamilyAmbientDutySeed) {
+  // One util::Rng stream, five draws per device in a fixed order, whether
+  // the devices come from sample_fleet or a wave at a time from the sampler.
+  const FleetSpec spec = test_spec();
+  util::Rng rng(spec.seed);
+  const std::vector<DeviceProfile> all = sample_fleet(spec);
+  FleetSampler sampler(spec);
+  for (std::uint64_t i = 0; i < spec.device_count; ++i) {
+    SCOPED_TRACE(i);
+    const double platform_u = rng.uniform(0.0, 3.0);  // weights 2 + 1
+    const double family_u = rng.uniform(0.0, 2.0);    // weights 1 + 1
+    const double ambient = rng.uniform(spec.ambient_c.lo, spec.ambient_c.hi);
+    const double duty =
+        rng.uniform(spec.background_duty.lo, spec.background_duty.hi);
+    const std::uint64_t seed = rng.engine()();
+
+    const DeviceProfile& device = sampler.next();
+    EXPECT_EQ(i, device.index);
+    EXPECT_EQ(platform_u < 2.0 ? "odroid-xu-e" : "dragon", device.platform);
+    EXPECT_EQ(family_u < 1.0 ? "bursty" : "periodic-square", device.family);
+    EXPECT_EQ(std::round(ambient * 4.0) / 4.0, device.ambient_c);
+    EXPECT_EQ(duty, device.background_duty);
+    EXPECT_EQ(seed, device.seed);
+
+    const DeviceProfile& listed = all[std::size_t(i)];
+    EXPECT_EQ(listed.index, device.index);
+    EXPECT_EQ(listed.platform, device.platform);
+    EXPECT_EQ(listed.family, device.family);
+    EXPECT_EQ(listed.ambient_c, device.ambient_c);
+    EXPECT_EQ(listed.background_duty, device.background_duty);
+    EXPECT_EQ(listed.seed, device.seed);
   }
 }
 
@@ -276,6 +314,128 @@ TEST(RunFleet, MaterializerShiftsAmbient) {
     }
   }
   EXPECT_TRUE(saw_boundary);
+}
+
+/// The smoke spec's shape: three platforms over a 20-35 C band, whose 61
+/// quarter-degree bins give 183 (platform, ambient bin) descriptors.
+FleetSpec three_platform_spec() {
+  FleetSpec spec = test_spec();
+  spec.platforms = {{"odroid-xu-e", 2.0}, {"dragon", 1.0}, {"compact", 1.0}};
+  spec.ambient_c = {20.0, 35.0};
+  return spec;
+}
+
+TEST(FleetRunPlan, OneTemplatePerPhysicsAcrossAmbientBins) {
+  const FleetSpec spec = three_platform_spec();
+  FleetMaterializer materializer(spec);
+  sim::RunPlan plan(spec.base);
+  std::set<const sim::PlatformDescriptor*> descriptors;
+  std::set<const thermal::Floorplan*> templates;
+  for (const FleetWeight& platform : spec.platforms) {
+    for (int bin = 0; bin <= 60; ++bin) {
+      DeviceProfile device;
+      device.platform = platform.name;
+      device.family = "bursty";
+      device.ambient_c = 20.0 + 0.25 * bin;
+      const sim::ExperimentConfig config = materializer.config_for(device);
+      plan.cache_platform(config.platform);
+      descriptors.insert(config.platform.get());
+      templates.insert(plan.floorplan_for(*config.platform));
+    }
+  }
+  EXPECT_EQ(183u, descriptors.size());
+  EXPECT_EQ(3u, plan.floorplan_count());
+  EXPECT_EQ(3u, templates.size());
+  EXPECT_EQ(0u, templates.count(nullptr));
+}
+
+TEST(FleetRunPlan, WarmPlanDoesNotGrowWithAmbientBins) {
+  // A serve executor's plan outlives its fleets: new ambient bins, and a
+  // second fleet with other bins, must not add templates.
+  FleetSpec spec = three_platform_spec();
+  spec.device_count = 48;
+  std::set<double> ambients;
+  for (const DeviceProfile& device : sample_fleet(spec)) {
+    ambients.insert(device.ambient_c);
+  }
+  ASSERT_GT(ambients.size(), 3u);
+  sim::RunPlan plan(spec.base);
+  FleetRunOptions options;
+  options.plan = &plan;
+  run_fleet(spec, options);
+  EXPECT_EQ(3u, plan.floorplan_count());
+  spec.seed += 1;
+  run_fleet(spec, options);
+  EXPECT_EQ(3u, plan.floorplan_count());
+}
+
+void expect_same_run(const sim::RunResult& a, const sim::RunResult& b) {
+  EXPECT_GT(a.control_steps, 0u);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.execution_time_s, b.execution_time_s);
+  EXPECT_EQ(a.avg_platform_power_w, b.avg_platform_power_w);
+  EXPECT_EQ(a.avg_soc_power_w, b.avg_soc_power_w);
+  EXPECT_EQ(a.platform_energy_j, b.platform_energy_j);
+  EXPECT_EQ(a.violation_time_s, b.violation_time_s);
+  EXPECT_EQ(a.max_temp_stats.count(), b.max_temp_stats.count());
+  EXPECT_EQ(a.max_temp_stats.mean(), b.max_temp_stats.mean());
+  EXPECT_EQ(a.max_temp_stats.max(), b.max_temp_stats.max());
+  EXPECT_EQ(a.control_steps, b.control_steps);
+  EXPECT_EQ(a.plant_substeps, b.plant_substeps);
+}
+
+TEST(FleetRunPlan, SharedTemplateRunsEqualOwnFloorplanRuns) {
+  // A template compiled for the nominal descriptor serves an ambient-shifted
+  // one; the plant must start from the shifted descriptor's own initial
+  // temperatures, exactly as if it had built its own floorplan.
+  FleetSpec spec = test_spec();
+  spec.platforms = {{"odroid-xu-e", 1.0}};
+  FleetMaterializer materializer(spec);
+  const std::vector<DeviceProfile> profiles = sample_fleet(spec);
+  DeviceProfile device = profiles[0];
+  device.ambient_c = sim::default_platform()->floorplan.ambient_temp_c();
+  const sim::ExperimentConfig nominal = materializer.config_for(device);
+  ASSERT_EQ(sim::default_platform(), nominal.platform);
+  const sim::RunPlan shared(nominal);
+
+  std::vector<sim::BatchJob> jobs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    device = profiles[i];
+    device.ambient_c = 31.0;
+    sim::BatchJob job;
+    job.config = materializer.config_for(device);
+    jobs.push_back(std::move(job));
+  }
+  const sim::PlatformDescriptor& shifted = *jobs[0].config.platform;
+  ASSERT_NE(shifted.floorplan, nominal.platform->floorplan);
+  ASSERT_EQ(shared.floorplan_for(*nominal.platform),
+            shared.floorplan_for(shifted));
+
+  for (const sim::Engine engine :
+       {sim::Engine::kReferenceRk4, sim::Engine::kPropagator}) {
+    SCOPED_TRACE(sim::to_string(engine));
+    sim::ExperimentConfig config = jobs[0].config;
+    config.engine = engine;
+    expect_same_run(sim::run_experiment(config, nullptr, &shared),
+                    sim::run_experiment(config, nullptr, nullptr));
+  }
+
+  // batched: one 4-lane lockstep group over the shared template, against
+  // the same group over a template built from the shifted descriptor.
+  for (sim::BatchJob& job : jobs) job.config.engine = sim::Engine::kBatched;
+  const sim::RunPlan own(jobs);
+  ASSERT_NE(own.floorplan_for(shifted), shared.floorplan_for(shifted));
+  const sim::BatchRunner runner(1);
+  const sim::BatchOutcome via_shared = runner.run_collecting(jobs, &shared);
+  const sim::BatchOutcome via_own = runner.run_collecting(jobs, &own);
+  ASSERT_EQ(jobs.size(), via_shared.results.size());
+  ASSERT_EQ(jobs.size(), via_own.results.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_FALSE(via_shared.errors[i]);
+    EXPECT_FALSE(via_own.errors[i]);
+    expect_same_run(via_shared.results[i], via_own.results[i]);
+  }
 }
 
 TEST(FleetSmoke, CapsMakeSpecsCiSized) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <random>
 #include <type_traits>
@@ -77,6 +79,39 @@ TEST(Rng, DrawsEqualTheStandardCallsOverTheStandardEngine) {
     }
     ASSERT_EQ(rng.engine()(), reference());
   }
+}
+
+/// A generator stuck on one word: std::generate_canonical then sees exactly
+/// the word canonical_from_word is handed.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+TEST(Rng, EdgeWordsConvertExactlyAsTheStandardLibrary) {
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  constexpr double kTwo64 = 18446744073709551616.0;
+  const double below_one = std::nextafter(1.0, 0.0);
+  // 2^53 +- 1 straddle the last exactly representable integers; 2^63 is
+  // the first word with the top bit set; 2^64 - 1025 is the largest word
+  // that stays below 1 and 2^64 - 1 rounds up to 2^64 and clamps.
+  for (const std::uint64_t w :
+       {std::uint64_t{0}, kTwo53 - 1, kTwo53, kTwo53 + 1,
+        std::uint64_t{1} << 63, kMax - 1025, kMax - 1024, kMax}) {
+    SCOPED_TRACE(w);
+    EXPECT_EQ(word_to_double(w), double(w));
+    EXPECT_EQ(canonical_from_word(w), std::min(double(w) / kTwo64, below_one));
+    FixedWord generator{w};
+    EXPECT_EQ(canonical_from_word(w),
+              (std::generate_canonical<double, 53>(generator)));
+  }
+  EXPECT_LT(double(kMax - 1025) / kTwo64, 1.0);
+  EXPECT_EQ(double(kMax) / kTwo64, 1.0);
+  EXPECT_EQ(canonical_from_word(kMax), below_one);
 }
 
 TEST(RngGaussian, BitIdenticalToFreshNormalDistributionPerCall) {

@@ -26,6 +26,11 @@ namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 std::atomic<bool> g_counting{false};
 
+// Out of line: inlined into a caller, GCC pairs the caller's operator new
+// with this std::free and warns (-Wmismatched-new-delete), although both
+// sides are this file's pair.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -50,13 +55,13 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace dtpm::sim {
